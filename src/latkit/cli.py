@@ -17,10 +17,11 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from typing import Any
 
 from . import inflated
-from .errors import CapExceeded, LatkitError
+from .errors import CapExceeded, LatkitError, UnverifiedPreconditionWarning
 from .free import FreeLattice, alternation_rank, canonical_form, eq_free, leq_free
 from .homs import (
     Hom,
@@ -47,11 +48,13 @@ from .order import (
 )
 from .partial_lattice import (
     PartialLattice,
+    closure_stage,
     is_bounded_fp,
     is_lower_bounded_fp,
     is_lower_bounded_sublattice,
     leq_fp,
     partial_whitman_check,
+    semilattice_to_lattice,
 )
 from .terms import Term, parse, term_to_text
 
@@ -304,6 +307,9 @@ def _cmd_fp(args) -> int:
             }
             for side, r in reports.items()
         }
+        if args.generators:
+            for side, r in reports.items():
+                cert[side]["stage"] = r.stage
         witness = {
             side: list(r.inner.cycle)
             for side, r in reports.items()
@@ -317,6 +323,8 @@ def _cmd_fp(args) -> int:
             "witness": witness,
             "certificate": cert,
         }
+        if args.generators:
+            doc["generators"] = [term_to_text(t) for t in terms]
         lines = [f"{side} bounded: {r.ok}" for side, r in sorted(reports.items())]
         return _emit(args, doc, lines)
     raise SystemExit(_usage_error(f"unknown fp action {args.action!r}"))
@@ -497,7 +505,7 @@ def _cmd_fixture(args) -> int:
 
 def _cmd_verify_certificate(args) -> int:
     doc = _load_json(args.file)
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     ok = _reverify(doc, kind)
     out = {"kind": "verify-certificate", "verdict": ok, "witness": None,
            "certificate": {"checked": kind}}
@@ -535,12 +543,20 @@ def _reverify(doc: dict, kind: str) -> bool:
                     return False
             return True
         if kind == "fp-bounded":
+            # each side's stage lattice must be the one rebuilt from the input
             P = PartialLattice.from_dict(doc["input"])
-            for side in doc["sides"]:
-                lat = FiniteLattice.from_dict(doc["certificate"][side]["stage_lattice"])
-                if not _reverify_lb(lat, doc["certificate"][side]):
+            terms = [parse(g) for g in doc["generators"]] if "generators" in doc else None
+            sides = doc["sides"]
+            if not sides or not set(sides) <= {"lower", "upper"}:
+                return False
+            for side in sides:
+                cert = doc["certificate"][side]
+                lat = FiniteLattice.from_dict(cert["stage_lattice"])
+                if lat.to_dict() != _fp_stage_lattice(P, side, terms, cert).to_dict():
                     return False
-            return True
+                if not _reverify_lb(lat, cert):
+                    return False
+            return doc["verdict"] == all("rank" in doc["certificate"][s] for s in sides)
         if kind == "non-generation":
             inp = doc["input"]
             target = FiniteLattice.from_dict(inp["target"])
@@ -556,9 +572,29 @@ def _reverify(doc: dict, kind: str) -> bool:
             )
             zpairs = [(parse(a), parse(b)) for a, b in inp.get("pairs", [])]
             return verify_non_generation(g, h, cert, zpairs)
+    except CapExceeded:
+        raise
     except (LatkitError, KeyError, TypeError, ValueError):
         return False
-    return False
+    raise SystemExit(_usage_error(f"no checker for certificate kind {kind!r}"))
+
+
+def _fp_stage_lattice(P: PartialLattice, side: str, terms, cert: dict) -> FiniteLattice:
+    """The stage lattice ``fp bounded`` computes for one side: the
+    join-closure stage of the presentation, or with generating terms the
+    sublattice they span in the recorded stage."""
+    cap = _default_cap()
+    Q = P if side == "lower" else P.dual()
+    if terms is None:
+        return semilattice_to_lattice(closure_stage(Q, 0, cap))
+    n = cert["stage"]
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"bad stage {n!r}")
+    if side == "upper":
+        terms = [_dual_term(t) for t in terms]
+    return is_lower_bounded_sublattice(
+        Q, terms, n_hint=n, cap=cap, max_stage=n, assume_condition=True
+    ).stage_lattice
 
 
 def _reverify_lb(lat: FiniteLattice, cert: dict) -> bool:
@@ -673,14 +709,20 @@ def main(argv: list[str] | None = None) -> int:
     sys.setrecursionlimit(20000)
     ap = build_parser()
     args = ap.parse_args(argv)
-    try:
-        return args.fn(args)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except LatkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # Warnings print as one "warning: <message>" line each, once per run.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UnverifiedPreconditionWarning)
+        try:
+            return args.fn(args)
+        except CapExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CAP
+        except LatkitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -3,35 +3,44 @@ freely generate.
 
 A partial lattice is a finite poset plus partial join/meet tables whose
 defined values are genuine suprema/infima in the poset.  ``leq_fp`` decides
-order between terms over the partial lattice as the least fixpoint of the
-derivation rules below; the computation is a worklist iteration over the
-subterm pairs of the query, and settled pairs are cached on the partial
-lattice for reuse (truth of a pair never depends on which query introduced
-it).
+order between terms over the partial lattice by Dean's solution of the
+word problem (R. A. Dean, Canad. J. Math. 16, 1964; Freese, Jezek and
+Nation, *Free Lattices*, ch. 2).  Each term carries two bitmasks over the
+generators, memoised on the partial lattice and computed bottom-up:
 
-Rules, for terms ``s`` and ``t``:
+* its *ideal*, the generators below it: a generator's down-set; the
+  intersection of the meetands' ideals for a meet; for a join, the union of
+  the joinands' ideals closed under the defined joins (whenever the
+  arguments ``U`` of a defined join ``w`` all lie in it, so does the
+  down-set of ``w``);
+* dually its *filter*, the generators above it.
 
-* joins on the left and meets on the right decompose conjunctively;
-* generator against generator is the poset order;
-* a generator ``p`` lies below a compound join when it lies below some
-  joinand, or some defined join dominating ``p`` has all its arguments
-  below the join (dually for meets above a generator);
-* a compound meet lies below a compound join when some meetand does, or
-  the meet lies below some joinand, or some generator interpolates.
+Pairs are then decided, for terms ``s`` and ``t``, by:
+
+* a join on the left and a meet on the right split conjunctively;
+* a generator ``p`` lies below ``t`` iff ``p`` is in the ideal of ``t``;
+  dually ``s`` lies below a generator iff the generator is in its filter;
+* a meet lies below a join iff some meetand does, or the meet lies below
+  some joinand, or the filter of the meet meets the ideal of the join
+  (some generator interpolates).
+
+Splits run on an explicit stack, so deep terms need no deep recursion, and
+split pairs are cached on the partial lattice (truth of a pair never
+depends on which query introduced it).
 
 The module also hosts the alternating closure stages of the generated
 lattice, the standard homomorphism onto a stage, and the boundedness
 decision procedures built on them.
 
-Partial lattices are immutable apart from the append-only answer cache, so
-concurrent queries are safe under the interpreter lock; the worklist and
-index structures of a single query are call-local.
+Partial lattices are immutable apart from their append-only mask and
+answer caches, so concurrent queries are safe under the interpreter lock.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -60,7 +69,6 @@ from .terms import (
     join_of,
     meet_of,
     sort_key,
-    subterms,
     term_size,
     term_to_text,
 )
@@ -92,8 +100,8 @@ class PartialLattice:
     away after validation.
     """
 
-    __slots__ = ("poset", "joins", "meets", "_cache", "_gen_terms", "_joins_by_member",
-                 "_meets_by_member")
+    __slots__ = ("poset", "joins", "meets", "_cache", "_gen_terms", "_bit", "_ideal",
+                 "_filter", "_join_rules", "_meet_rules")
 
     def __init__(
         self,
@@ -106,16 +114,20 @@ class PartialLattice:
         self.meets = self._normalise(poset, meets, upper=False)
         self._cache: dict[tuple[Term, Term], bool] = {}
         self._gen_terms = tuple(gen(e) for e in poset.elements)
-        jbm: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-        for U, w in self.joins.items():
-            for q in U:
-                jbm.setdefault(q, []).append((U, w))
-        mbm: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-        for U, w in self.meets.items():
-            for q in U:
-                mbm.setdefault(q, []).append((U, w))
-        self._joins_by_member = jbm
-        self._meets_by_member = mbm
+        idx, down, up = poset._index, poset._down, poset._up
+        bit = self._bit = {e: 1 << poset._pos[i] for e, i in idx.items()}
+        # Generators below (above) each term, seeded with the poset's
+        # down-sets (up-sets) and filled in per term on first use.
+        self._ideal: dict[Term, int] = {g: down[idx[g.name]] for g in self._gen_terms}
+        self._filter: dict[Term, int] = {g: up[idx[g.name]] for g in self._gen_terms}
+        # A defined join (U, w) puts down(w) into every ideal holding U;
+        # dually for meets and filters.
+        self._join_rules = tuple(
+            (sum(bit[q] for q in U), down[idx[w]], bit[w]) for U, w in self.joins.items()
+        )
+        self._meet_rules = tuple(
+            (sum(bit[q] for q in U), up[idx[w]], bit[w]) for U, w in self.meets.items()
+        )
 
     @staticmethod
     def _normalise(poset: FinitePoset, table, upper: bool):
@@ -152,7 +164,7 @@ class PartialLattice:
         return self.poset.elements
 
     def check_term(self, t: Term) -> None:
-        extra = generators(t) - set(self.poset.elements)
+        extra = generators(t) - self._bit.keys()
         if extra:
             raise UnknownGenerator(f"unknown generators: {sorted(extra)}")
 
@@ -191,160 +203,104 @@ class PartialLattice:
 
     # --- the word problem engine ---
 
+    def _mask(self, t: Term, table: dict[Term, int], closing: type, rules) -> int:
+        """Memoised ideal (filter) mask of ``t``, computed bottom-up over the
+        subterms still missing from ``table`` on an explicit stack.  A
+        ``closing`` node (join for ideals, meet for filters) takes the union
+        of its children's masks closed under ``rules``; the other kind takes
+        the intersection."""
+        m = table.get(t)
+        if m is not None:
+            return m
+        stack = [(t, iter(t.children))]
+        while stack:
+            u, pending = stack[-1]
+            for c in pending:
+                if c not in table:
+                    stack.append((c, iter(c.children)))
+                    break
+            else:
+                stack.pop()
+                kids = [table[c] for c in u.children]
+                if isinstance(u, closing):
+                    m = 0
+                    for k in kids:
+                        m |= k
+                    grown = True
+                    while grown:
+                        grown = False
+                        for need, add, b in rules:
+                            if not m & b and m & need == need:
+                                m |= add
+                                grown = True
+                else:
+                    m = kids[0]
+                    for k in kids[1:]:
+                        m &= k
+                table[u] = m
+        return m
+
+    def _settle(self, s: Term, t: Term) -> bool | None:
+        """Answer ``s <= t`` without splitting, or ``None`` when a split is
+        needed.  A generator's pair is its bit in the other side's mask; a
+        meet below a join holds outright when a generator interpolates."""
+        if s is t:
+            return True
+        if type(s) is Gen:
+            return bool(self._mask(t, self._ideal, Join, self._join_rules) & self._bit[s.name])
+        if type(t) is Gen:
+            return bool(self._mask(s, self._filter, Meet, self._meet_rules) & self._bit[t.name])
+        hit = self._cache.get((s, t))
+        if hit is not None:
+            return hit
+        if type(s) is Meet and type(t) is Join and (
+            self._mask(s, self._filter, Meet, self._meet_rules)
+            & self._mask(t, self._ideal, Join, self._join_rules)
+        ):
+            return True
+        return None
+
     def _leq(self, s: Term, t: Term) -> bool:
-        key = (s, t)
-        hit = self._cache.get(key)
-        if hit is None:
-            self._solve(s, t)
-            hit = self._cache[key]
-        return hit
-
-    def _solve(self, s: Term, t: Term) -> None:
+        """Decide ``s <= t`` by the Whitman splits on an explicit stack.  A
+        frame is conjunctive (a join on the left or a meet on the right: every
+        part must hold) or disjunctive (a meet below a join: some meetand or
+        joinand must hold); its first deciding part ends it, and exhausting
+        its parts gives ``conj``.  Split pairs are memoised in ``_cache``."""
+        found = self._settle(s, t)
+        if found is not None:
+            return found
         cache = self._cache
-        universe = sorted(
-            subterms(s) | subterms(t) | set(self._gen_terms), key=sort_key
-        )
-        uset = set(universe)
-        parents: dict[Term, list[Term]] = {u: [] for u in universe}
-        for u in universe:
-            if not isinstance(u, Gen):
-                for c in u.children:
-                    parents[c].append(u)
-        gens = [u for u in universe if isinstance(u, Gen)]
-        joins = [u for u in universe if isinstance(u, Join)]
-        meets = [u for u in universe if isinstance(u, Meet)]
-        poset = self.poset
-        up = {g.name: poset._up[poset.index(g.name)] for g in gens}
-        down = {g.name: poset._down[poset.index(g.name)] for g in gens}
-        bit = {g.name: 1 << poset._pos[poset.index(g.name)] for g in gens}
+        stack = [_split(s, t)]
+        found = None  # the answer of the frame last popped, for its parent
+        while True:
+            key, conj, parts = stack[-1]
+            if found is None or found is conj:
+                found = conj
+                for a, b in parts:
+                    r = self._settle(a, b)
+                    if r is None:
+                        stack.append(_split(a, b))
+                        found = None
+                        break
+                    if r is not conj:
+                        found = r
+                        break
+                if found is None:
+                    continue
+            stack.pop()
+            cache[key] = found
+            if not stack:
+                return found
 
-        true: set[tuple[Term, Term]] = set()
 
-        def holds(a: Term, b: Term) -> bool:
-            k = (a, b)
-            if k in true:
-                return True
-            v = cache.get(k)
-            return bool(v)
-
-        # gens_below[v]: mask of generators known below join-term v
-        # dom_vals[v]: mask of defined-join values whose arguments all sit in
-        # gens_below[v]; symmetric tables for meet-terms on the left.
-        gens_below: dict[Term, int] = {v: 0 for v in joins}
-        dom_vals: dict[Term, int] = {v: 0 for v in joins}
-        need_j: dict[Term, dict[tuple[str, ...], int]] = {v: {} for v in joins}
-        gens_above: dict[Term, int] = {u: 0 for u in meets}
-        dom_vals_m: dict[Term, int] = {u: 0 for u in meets}
-        need_m: dict[Term, dict[tuple[str, ...], int]] = {u: {} for u in meets}
-
-        from collections import deque
-
-        queue: deque[tuple[Term, Term]] = deque()
-        queued: set[tuple[Term, Term]] = set()
-
-        def schedule(a: Term, b: Term) -> None:
-            k = (a, b)
-            if k not in queued and k not in true and k not in cache:
-                queued.add(k)
-                queue.append(k)
-
-        def note_gen_below(q: str, v: Term) -> None:
-            if gens_below[v] & bit[q]:
-                return
-            gens_below[v] |= bit[q]
-            tab = need_j[v]
-            for U, w in self._joins_by_member.get(q, ()):
-                left = tab.get(U)
-                if left is None:
-                    left = sum(1 for e in U if not gens_below[v] & bit[e]) + 1
-                left -= 1
-                tab[U] = left
-                if left == 0:
-                    dom_vals[v] |= bit[w]
-            for g in gens:
-                schedule(g, v)
-            for m in meets:
-                schedule(m, v)
-
-        def note_gen_above(q: str, u: Term) -> None:
-            if gens_above[u] & bit[q]:
-                return
-            gens_above[u] |= bit[q]
-            tab = need_m[u]
-            for U, w in self._meets_by_member.get(q, ()):
-                left = tab.get(U)
-                if left is None:
-                    left = sum(1 for e in U if not gens_above[u] & bit[e]) + 1
-                left -= 1
-                tab[U] = left
-                if left == 0:
-                    dom_vals_m[u] |= bit[w]
-            for g in gens:
-                schedule(u, g)
-            for v in joins:
-                schedule(u, v)
-
-        def mark(a: Term, b: Term) -> None:
-            k = (a, b)
-            if k in true:
-                return
-            true.add(k)
-            for pa in parents[a]:
-                schedule(pa, b)
-            for pb in parents[b]:
-                schedule(a, pb)
-            if isinstance(a, Gen) and isinstance(b, Join):
-                note_gen_below(a.name, b)
-            elif isinstance(a, Meet) and isinstance(b, Gen):
-                note_gen_above(b.name, a)
-
-        def body(a: Term, b: Term) -> bool:
-            if isinstance(a, Join):
-                return all(holds(c, b) for c in a.children)
-            if isinstance(b, Meet):
-                return all(holds(a, c) for c in b.children)
-            if isinstance(a, Gen):
-                if isinstance(b, Gen):
-                    return bool(down[b.name] & bit[a.name])
-                # generator below compound join
-                if any(holds(a, c) for c in b.children):
-                    return True
-                return bool(dom_vals[b] & up[a.name])
-            if isinstance(b, Gen):
-                if any(holds(c, b) for c in a.children):
-                    return True
-                return bool(dom_vals_m[a] & down[b.name])
-            # compound meet below compound join
-            if any(holds(c, b) for c in a.children):
-                return True
-            if any(holds(a, c) for c in b.children):
-                return True
-            return bool(gens_above[a] & gens_below[b])
-
-        # seed the incremental tables from cached facts, then run to fixpoint
-        for v in joins:
-            for g in gens:
-                if cache.get((g, v)):
-                    note_gen_below(g.name, v)
-        for u in meets:
-            for g in gens:
-                if cache.get((u, g)):
-                    note_gen_above(g.name, u)
-        for a in universe:
-            for b in universe:
-                schedule(a, b)
-        while queue:
-            k = queue.popleft()
-            queued.discard(k)
-            if k in true or k in cache:
-                continue
-            if body(*k):
-                mark(*k)
-        for a in universe:
-            for b in universe:
-                k = (a, b)
-                if k not in cache:
-                    cache[k] = k in true
+def _split(s: Term, t: Term):
+    """The stack frame of a pair that :meth:`PartialLattice._settle` left
+    open: its key, whether it is conjunctive, and its parts."""
+    if type(s) is Join:
+        return (s, t), True, ((c, t) for c in s.children)
+    if type(t) is Meet:
+        return (s, t), True, ((s, c) for c in t.children)
+    return (s, t), False, chain(((c, t) for c in s.children), ((s, c) for c in t.children))
 
 
 def antichain(names: Iterable[str]) -> PartialLattice:
@@ -505,12 +461,13 @@ def standard_hom_image(P: PartialLattice, stage: ClosureStage, t: Term) -> Term:
 @dataclass(frozen=True)
 class FpBoundednessReport:
     """Boundedness verdict for a finitely presented lattice, carrying the
-    finite stage lattice on which the cycle test ran and that test's
-    certificate."""
+    finite stage lattice on which the cycle test ran, that test's
+    certificate, and the closure stage the lattice was read from."""
 
     ok: bool
     stage_lattice: FiniteLattice
     inner: LowerBoundedReport
+    stage: int = 0
 
     def __bool__(self) -> bool:
         return self.ok
@@ -578,5 +535,5 @@ def is_lower_bounded_sublattice(
                             sub_covers.append((a, b))
             sublat = build_lattice(FinitePoset(sub, sub_covers))
             rep = is_lower_bounded_finite(sublat)
-            return FpBoundednessReport(rep.ok, sublat, rep)
+            return FpBoundednessReport(rep.ok, sublat, rep, n)
     raise CapExceeded(max_stage, "stage search for the generating terms")

@@ -177,22 +177,34 @@ def join_of(children: Iterable[Term]) -> Term:
     return _combine(children, Join, _JOIN_CACHE, Join)
 
 
+def _fill_slot(t: Term, slot: str, combine):
+    """Fill ``slot`` bottom-up on ``t`` and every subterm still missing it:
+    each gets ``combine`` of its children's values, children first, on an
+    explicit stack so that deep terms cannot exhaust the call stack.
+    Generators carry their value from construction."""
+    stack = [(t, iter(t.children))]
+    while stack:
+        u, kids = stack[-1]
+        for c in kids:
+            if getattr(c, slot) is None:
+                stack.append((c, iter(c.children)))
+                break
+        else:
+            stack.pop()
+            setattr(u, slot, combine([getattr(c, slot) for c in u.children]))
+    return getattr(t, slot)
+
+
 def generators(t: Term) -> frozenset[str]:
     """The set of generator names occurring in ``t``."""
     g = t._gens
-    if g is None:
-        g = frozenset().union(*(generators(c) for c in t.children))
-        t._gens = g
-    return g
+    return g if g is not None else _fill_slot(t, "_gens", lambda gs: frozenset().union(*gs))
 
 
 def term_size(t: Term) -> int:
     """Total number of nodes in the term tree."""
     n = t._size
-    if n is None:
-        n = 1 + sum(term_size(c) for c in t.children)
-        t._size = n
-    return n
+    return n if n is not None else _fill_slot(t, "_size", lambda ns: 1 + sum(ns))
 
 
 def depth(t: Term) -> int:

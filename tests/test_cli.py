@@ -250,3 +250,59 @@ def test_deterministic_output(tmp_path):
     )
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode
+
+
+def test_fp_bounded_certificate_checked_against_input(tmp_path):
+    proc = run_cli("--json", "fp", "bounded", "{p}", files={"p": ANTICHAIN3},
+                   tmp_path=tmp_path)
+    assert proc.returncode == 0
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(proc.stdout)
+    assert run_cli("verify-certificate", str(cert_file)).returncode == 0
+    # a 1-element stage lattice carries a valid (empty) rank certificate,
+    # but it is not the stage lattice of the input
+    doc = json.loads(proc.stdout)
+    doc["certificate"]["lower"]["stage_lattice"] = {"elements": ["0"], "covers": []}
+    doc["certificate"]["lower"]["rank"] = {}
+    cert_file.write_text(json.dumps(doc))
+    check = run_cli("verify-certificate", str(cert_file))
+    assert check.returncode == 1
+    assert "certificate valid: False" in check.stdout
+
+
+def test_fp_bounded_generators_warning_and_certificate(tmp_path, fig_lattice):
+    from latkit.partial_lattice import from_finite_lattice
+
+    total = from_finite_lattice(fig_lattice).to_dict()
+    proc = run_cli("--json", "fp", "bounded", "{p}", "--generators", "a1;a2;b3",
+                   files={"p": total}, tmp_path=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [
+        "warning: no certificate that the sublattice satisfies the interpolation "
+        "condition; the verdict relies on the caller's assertion"
+    ]
+    doc = json.loads(proc.stdout)
+    assert doc["generators"] == ["a1", "a2", "b3"]
+    assert {side: cert["stage"] for side, cert in doc["certificate"].items()} == {
+        "lower": 0, "upper": 0}
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(proc.stdout)
+    assert run_cli("verify-certificate", str(cert_file)).returncode == 0
+    doc["generators"] = ["a1", "a2"]
+    cert_file.write_text(json.dumps(doc))
+    assert run_cli("verify-certificate", str(cert_file)).returncode == 1
+
+
+def test_verify_certificate_unknown_kind(tmp_path):
+    for argv, kind in (
+        (["free", "leq", "--gens", "x,y", "x", "(x | y)"], "free-leq"),
+        (["fixture", "M", "--depth", "3", "--verify", "unbounded"], "fixture-unbounded"),
+    ):
+        proc = run_cli("--json", *argv)
+        assert proc.returncode == 0
+        cert_file = tmp_path / "doc.json"
+        cert_file.write_text(proc.stdout)
+        check = run_cli("verify-certificate", str(cert_file))
+        assert check.returncode == 2
+        assert check.stdout == ""
+        assert check.stderr == f"error: no checker for certificate kind '{kind}'\n"

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import all_terms_up_to, random_lattice, random_term
 from latkit.errors import InvalidPartialLattice, UnknownGenerator, UnverifiedPreconditionWarning
@@ -77,6 +78,21 @@ def test_leq_fp_defined_meet_rule():
     P = PartialLattice(poset, meets={("q", "r"): "p"})
     assert leq_fp(P, parse("(q & r)"), parse("p"))
     assert not leq_fp(PartialLattice(poset), parse("(q & r)"), parse("p"))
+
+
+def test_leq_fp_interpolation_rule():
+    # q & r = p <= w = u | v, while no meetand lies below the join and the
+    # meet lies below no joinand: only the generator p interpolates
+    poset = FinitePoset(
+        ["p", "q", "r", "u", "v", "w"],
+        [("p", "q"), ("p", "r"), ("p", "w"), ("u", "w"), ("v", "w")],
+    )
+    P = PartialLattice(poset, joins={("u", "v"): "w"}, meets={("q", "r"): "p"})
+    s, t = parse("(q & r)"), parse("(u | v)")
+    assert leq_fp(P, s, t) and _naive_leq_fp(P, s, t)
+    assert not leq_fp(P, parse("q"), t) and not leq_fp(P, s, parse("u"))
+    assert not leq_fp(PartialLattice(poset, joins={("u", "v"): "w"}), s, t)
+    assert not leq_fp(PartialLattice(poset, meets={("q", "r"): "p"}), s, t)
 
 
 def test_leq_fp_unknown_generator():
@@ -186,6 +202,61 @@ def test_engine_matches_naive_fixpoint(m3):
                 term_to_text(s),
                 term_to_text(t),
             )
+
+
+def test_engine_matches_naive_fixpoint_large():
+    rng = random.Random(97)
+    partials = [_random_partial(rng) for _ in range(40)]
+    for P in partials:
+        names = list(P.elements)
+        for _ in range(25):
+            s = random_term(rng, names, 3)
+            t = random_term(rng, names, 3)
+            assert leq_fp(P, s, t) == _naive_leq_fp(P, s, t), (
+                P,
+                term_to_text(s),
+                term_to_text(t),
+            )
+
+
+def _dual_term(t):
+    if isinstance(t, Gen):
+        return t
+    kids = [_dual_term(c) for c in t.children]
+    return join_of(kids) if isinstance(t, Meet) else meet_of(kids)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_leq_fp_duality(seed):
+    rng = random.Random(seed)
+    P = _random_partial(rng)
+    D = P.dual()
+    names = list(P.elements)
+    for _ in range(10):
+        s = random_term(rng, names, 3)
+        t = random_term(rng, names, 3)
+        assert leq_fp(P, s, t) == leq_fp(D, _dual_term(t), _dual_term(s))
+
+
+def _alternating(base, other, depth):
+    t = gen(base)
+    for i in range(depth):
+        t = (join_of if i % 2 == 0 else meet_of)([t, gen(other)])
+    return t
+
+
+@pytest.mark.parametrize("depth", [600, 3000])
+def test_leq_fp_deep_terms(depth):
+    # x | y, then & y, then | y, ...: the term equals y from the second step on
+    P = antichain(["x", "y"])
+    t = _alternating("x", "y", depth)
+    assert not leq_fp(P, t, gen("x"))
+    assert not leq_fp(P, gen("x"), t)
+    assert leq_fp(P, t, gen("y")) and leq_fp(P, gen("y"), t)
+    u = _alternating("y", "x", depth)  # equals x
+    assert not leq_fp(P, t, u) and not leq_fp(P, u, t)
+    assert leq_fp(P, meet_of([t, u]), join_of([u, t]))
 
 
 # --- condition check on defined operations ---
