@@ -229,8 +229,16 @@ def _free_ctx(gens: str) -> FreeLattice:
     return FreeLattice([g.strip() for g in gens.split(",") if g.strip()])
 
 
+def _check_term_count(args, want: int) -> None:
+    if len(args.terms) != want:
+        raise SystemExit(_usage_error(
+            f"{args.command} {args.action} takes {want} term(s), got {len(args.terms)}"
+        ))
+
+
 def _cmd_free(args) -> int:
     ctx = _free_ctx(args.gens)
+    _check_term_count(args, 1 if args.action == "rank" else 2)
     if args.action == "rank":
         t = parse(args.terms[0])
         idx = alternation_rank(ctx, t)
@@ -255,6 +263,7 @@ def _cmd_free(args) -> int:
 def _cmd_fp(args) -> int:
     P = _load_partial(args.file)
     if args.action == "leq":
+        _check_term_count(args, 2)
         s, t = parse(args.terms[0]), parse(args.terms[1])
         verdict = leq_fp(P, s, t)
         doc = {"kind": "fp-leq", "verdict": verdict, "witness": None,

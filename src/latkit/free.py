@@ -22,9 +22,11 @@ interpreter lock.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
-from .errors import CapExceeded, UnknownGenerator
+from .errors import UnknownGenerator
+from .order import closure
 from .terms import (
     Gen,
     Join,
@@ -257,34 +259,16 @@ def stage_elements(
     """All elements of the requested stage set, as canonical terms sorted by
     size then structural order.  Raises :class:`CapExceeded` when the closure
     grows past ``cap`` elements."""
-    reps: list[Term] = [_canon(g) for g in ctx.generator_terms]
-    pos = 0
-    while pos < idx.position:
+    reps: Iterable[Term] = [_canon(g) for g in ctx.generator_terms]
+    for pos in range(idx.position):
         if pos % 2 == 0:  # G_k -> H_k, adjoin the empty meet
-            reps = _close(reps, meet_of, _canon(ctx.top_term), cap)
+            combine, extra = meet_of, ctx.top_term
         else:  # H_k -> G_{k+1}, adjoin the empty join
-            reps = _close(reps, join_of, _canon(ctx.bottom_term), cap)
-        pos += 1
+            combine, extra = join_of, ctx.bottom_term
+        reps = closure(
+            chain(reps, (_canon(extra),)),
+            lambda a, b: (_canon(combine([a, b])),),
+            cap,
+            "stage enumeration",
+        )
     return tuple(sorted(reps, key=lambda t: (term_size(t), sort_key(t))))
-
-
-def _close(reps: list[Term], combine, extra: Term, cap: int) -> list[Term]:
-    out: list[Term] = []
-    seen: set[Term] = set()
-    for t in list(reps) + [extra]:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    if len(out) > cap:
-        raise CapExceeded(cap, "stage enumeration")
-    i = 0
-    while i < len(out):
-        for j in range(i + 1):
-            t = _canon(combine([out[i], out[j]]))
-            if t not in seen:
-                if len(out) + 1 > cap:
-                    raise CapExceeded(cap, "stage enumeration")
-                seen.add(t)
-                out.append(t)
-        i += 1
-    return out

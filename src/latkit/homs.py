@@ -38,7 +38,9 @@ from .errors import (
 from .free import FreeLattice, StageIndex, _canon, _leq, in_stage, stage_elements
 from .order import (
     FiniteLattice,
+    _antichains,
     check_dean,
+    closure,
     evaluate_term,
     generated_sublattice,
     is_lower_bounded_finite,
@@ -119,34 +121,26 @@ class Hom:
         )
 
     def _extend_finite(self) -> dict[str, str]:
+        """The closure of the graph of the generator images under
+        componentwise meet and join.  The generators generate the source, so
+        the closure projects onto all of it; it is the graph of a
+        homomorphism exactly when no source element gets two images."""
         src: FiniteLattice = self.source  # type: ignore[assignment]
-        m: dict[str, str] = dict(self.images)
-        frontier = sorted(m)
-        while frontier:
-            new: list[str] = []
-            known = sorted(m)
-            for a in frontier:
-                for b in known:
-                    for e, img in (
-                        (src.meet(a, b), self.target.meet(m[a], m[b])),
-                        (src.join(a, b), self.target.join(m[a], m[b])),
-                    ):
-                        prev = m.get(e)
-                        if prev is None:
-                            m[e] = img
-                            new.append(e)
-                        elif prev != img:
-                            raise NotAHomomorphism(
-                                f"conflicting images for {e!r}: {prev!r} vs {img!r}"
-                            )
-            frontier = new
-        # generators generate the source, so the extension is total
-        for a in src.elements:
-            for b in src.elements:
-                if m[src.meet(a, b)] != self.target.meet(m[a], m[b]):
-                    raise NotAHomomorphism(f"meet not preserved at ({a!r}, {b!r})")
-                if m[src.join(a, b)] != self.target.join(m[a], m[b]):
-                    raise NotAHomomorphism(f"join not preserved at ({a!r}, {b!r})")
+        tgt = self.target
+        graph = closure(
+            self.images.items(),
+            lambda p, q: (
+                (src.meet(p[0], q[0]), tgt.meet(p[1], q[1])),
+                (src.join(p[0], q[0]), tgt.join(p[1], q[1])),
+            ),
+        )
+        m: dict[str, str] = {}
+        for e, img in sorted(graph):
+            prev = m.setdefault(e, img)
+            if prev != img:
+                raise NotAHomomorphism(
+                    f"conflicting images for {e!r}: {prev!r} vs {img!r}"
+                )
         return m
 
     @property
@@ -184,28 +178,16 @@ class Hom:
                 g = frozenset(src.generators)
             else:
                 h_prev = self._stages[-1][1]
-                g = _finite_closure(src, h_prev | {src.bottom}, src.join)
-            h = _finite_closure(src, g | {src.top}, src.meet)
+                g = frozenset(
+                    closure(h_prev | {src.bottom}, lambda a, b: (src.join(a, b),))
+                )
+            h = frozenset(closure(g | {src.top}, lambda a, b: (src.meet(a, b),)))
             self._stages.append((g, h))
         return self._stages[k]
 
     def __repr__(self) -> str:
         kind = "free" if self.free_source else "finite"
         return f"Hom({kind} source -> {len(self.target)}-element target)"
-
-
-def _finite_closure(L: FiniteLattice, seed: Iterable[str], op) -> frozenset[str]:
-    out = sorted(set(seed))
-    seen = set(out)
-    i = 0
-    while i < len(out):
-        for j in range(i + 1):
-            c = op(out[i], out[j])
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-        i += 1
-    return frozenset(seen)
 
 
 def _require_same_target(g: Hom, h: Hom) -> None:
@@ -272,7 +254,7 @@ def _free_tables(g: Hom, k: int) -> None:
         prev_a = g._alpha_tables[-1]
         nxt_b: dict[str, Term] = {}
         nxt_a: dict[str, Term] = {}
-        up_antichains = list(_target_antichains(D))
+        up_antichains = list(_antichains(D))
         for d in D.elements:
             meetands = [prev_b[d]]
             joinands = [prev_a[d]]
@@ -293,20 +275,6 @@ def _free_tables(g: Hom, k: int) -> None:
             nxt_a[d] = _canon(join_of(joinands) if len(joinands) > 1 else joinands[0])
         g._beta_tables.append(nxt_b)
         g._alpha_tables.append(nxt_a)
-
-
-def _target_antichains(D: FiniteLattice) -> Iterable[tuple[str, ...]]:
-    els = list(D.elements)
-    n = len(els)
-
-    def rec(i: int, chosen: tuple[str, ...]):
-        yield chosen
-        for j in range(i, n):
-            c = els[j]
-            if all(not D.leq(c, x) and not D.leq(x, c) for x in chosen):
-                yield from rec(j + 1, chosen + (c,))
-
-    yield from rec(0, ())
 
 
 def _beta_fixpoint(g: Hom, k_cap: int, size_cap: int | None = None) -> int | None:
@@ -486,28 +454,18 @@ def sublattice_closure(
     A: FiniteLattice, B: FiniteLattice, pairs: Iterable[Sequence[str]], cap: int = 100000
 ) -> PairSet:
     """Least subset of ``A x B`` containing ``pairs`` and closed under
-    componentwise meet and join; worklist in lexicographic pair order."""
-    out = sorted({(a, b) for a, b in pairs})
-    for a, b in out:
-        A.poset.index(a)
-        B.poset.index(b)
-    seen = set(out)
-    i = 0
-    while i < len(out):
-        a1, b1 = out[i]
-        for j in range(i + 1):
-            a2, b2 = out[j]
-            for c in (
-                (A.meet(a1, a2), B.meet(b1, b2)),
-                (A.join(a1, a2), B.join(b1, b2)),
-            ):
-                if c not in seen:
-                    if len(out) + 1 > cap:
-                        raise CapExceeded(cap, "pair closure")
-                    seen.add(c)
-                    out.append(c)
-        i += 1
-    return PairSet.of(out)
+    componentwise meet and join."""
+    am, aj, bm, bj = A._meet, A._join, B._meet, B._join
+    closed = closure(
+        [(A.poset.index(a), B.poset.index(b)) for a, b in pairs],
+        lambda p, q: (
+            (am[p[0]][q[0]], bm[p[1]][q[1]]),
+            (aj[p[0]][q[0]], bj[p[1]][q[1]]),
+        ),
+        cap,
+        "pair closure",
+    )
+    return PairSet(frozenset((A.elements[a], B.elements[b]) for a, b in closed))
 
 
 def fiber_generating_set(g: Hom, h: Hom) -> PairSet:

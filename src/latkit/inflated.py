@@ -37,8 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import CapExceeded
-from .order import FiniteLattice, FinitePoset, build_lattice
+from .order import FiniteLattice, FinitePoset, build_lattice, closure
 
 __all__ = [
     "Point",
@@ -200,21 +199,12 @@ def _closure_within(seed: Iterable[Point], j_cap: int, cap: int = 100000) -> set
     """Close under join and meet, discarding elements above the height cap
     (the generation of height-j elements only ever passes through heights
     at most j; the cap just keeps the truncation finite)."""
-    out = sorted(set(seed))
-    seen = set(out)
-    i = 0
-    while i < len(out):
-        u = out[i]
-        for k in range(i + 1):
-            v = out[k]
-            for w in (join(u, v), meet(u, v)):
-                if w.j <= j_cap and w not in seen:
-                    if len(out) + 1 > cap:
-                        raise CapExceeded(cap, "inflated closure")
-                    seen.add(w)
-                    out.append(w)
-        i += 1
-    return seen
+    return closure(
+        seed,
+        lambda u, v: [w for w in (join(u, v), meet(u, v)) if w.j <= j_cap],
+        cap,
+        "inflated closure",
+    )
 
 
 def check_finitely_generated(j_max: int, cap: int = 100000) -> bool:
@@ -255,24 +245,14 @@ def check_kernel_finitely_generated(j_max: int, cap: int = 400000) -> bool:
     if j_max < 2:
         raise ValueError("need j_max >= 2")
     j_cap = j_max + 2
-    out = sorted(set(kernel_generators()))
-    seen = set(out)
-    i = 0
-    while i < len(out):
-        u1, u2 = out[i]
-        for k in range(i + 1):
-            v1, v2 = out[k]
-            for w in (
-                (join(u1, v1), join(u2, v2)),
-                (meet(u1, v1), meet(u2, v2)),
-            ):
-                if w[0].j <= j_cap and w[1].j <= j_cap and w not in seen:
-                    if len(out) + 1 > cap:
-                        raise CapExceeded(cap, "kernel closure")
-                    seen.add(w)
-                    out.append(w)
-        i += 1
-    return all(p in seen for p in _kernel_pairs_up_to(j_max))
+
+    def products(u, v):
+        (u1, u2), (v1, v2) = u, v
+        pairs = ((join(u1, v1), join(u2, v2)), (meet(u1, v1), meet(u2, v2)))
+        return [w for w in pairs if w[0].j <= j_cap and w[1].j <= j_cap]
+
+    closed = closure(kernel_generators(), products, cap, "kernel closure")
+    return all(p in closed for p in _kernel_pairs_up_to(j_max))
 
 
 def check_collapse_unbounded(j_max: int) -> bool:

@@ -9,12 +9,17 @@ The module also hosts the finite decision procedures: join irreducibles,
 minimal nontrivial join covers, the join-cover dependency digraph with its
 cycle test, and the interpolation-style antichain conditions used as
 hypotheses elsewhere in the package.
+
+:func:`closure` is the one worklist behind every finite closure in the
+package: generated sublattices, the stage sets ``G_k``/``H_k``, sublattices
+of products spanned by pair sets, the graph of a homomorphism and the
+truncated closures of the inflated lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     CapExceeded,
@@ -49,9 +54,54 @@ __all__ = [
     "generated_sublattice",
     "minimal_generating_set",
     "chain",
+    "closure",
 ]
 
 DEFAULT_ENUM_CAP = 20
+
+X = TypeVar("X", bound=Hashable)
+
+
+def closure(
+    seed: Iterable[X],
+    products: Callable[[X, X], Iterable[X]],
+    cap: int | None = None,
+    what: str = "closure",
+) -> set[X]:
+    """Least superset of ``seed`` that contains every member of
+    ``products(a, b)`` for all its members ``a`` and ``b``.
+
+    Each unordered pair, a member with itself included, is passed once, so
+    ``products`` must not depend on the order of its arguments.  A caller
+    truncates the closure by leaving out-of-range products out of what
+    ``products`` returns.  Raises :class:`CapExceeded` (``cap``, ``what``)
+    exactly when the closure has more than ``cap`` members."""
+    out = list(dict.fromkeys(seed))
+    seen = set(out)
+    for i, a in enumerate(out):
+        for b in out[: i + 1]:
+            for c in products(a, b):
+                if c not in seen:
+                    seen.add(c)
+                    out.append(c)
+        if cap is not None and len(out) > cap:
+            raise CapExceeded(cap, what)
+    return seen
+
+
+def _covers_from_order(
+    items: Sequence[X], leq: Callable[[X, X], bool]
+) -> list[tuple[X, X]]:
+    """Cover pairs ``(a, b)`` of the partial order ``leq`` on distinct
+    ``items``: ``a < b`` with no item strictly between them."""
+    return [
+        (a, b)
+        for a in items
+        for b in items
+        if a != b
+        and leq(a, b)
+        and not any(c != a and c != b and leq(a, c) and leq(c, b) for c in items)
+    ]
 
 
 class FinitePoset:
@@ -131,6 +181,29 @@ class FinitePoset:
             between = up[i] & down[j] & ~(1 << pos[i]) & ~(1 << pos[j])
             if between:
                 raise InvalidPoset(f"cover ({lo!r}, {hi!r}) is transitively implied")
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "FinitePoset":
+        """The poset of a document's ``elements`` (string ids) and
+        ``covers`` (``[lower, upper]`` pairs); a missing or malformed field
+        raises :class:`InvalidPoset`."""
+        try:
+            elements = data["elements"]
+            covers = data["covers"]
+        except (KeyError, TypeError) as exc:
+            raise InvalidPoset(f"missing field in lattice data: {exc}") from None
+        if not isinstance(elements, (list, tuple)) or not all(
+            isinstance(e, str) for e in elements
+        ):
+            raise InvalidPoset("'elements' must be a list of string ids")
+        if not isinstance(covers, (list, tuple)) or not all(
+            isinstance(c, (list, tuple))
+            and len(c) == 2
+            and all(isinstance(e, str) for e in c)
+            for c in covers
+        ):
+            raise InvalidPoset("'covers' must be a list of [lower, upper] id pairs")
+        return cls(elements, covers)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -323,12 +396,7 @@ class FiniteLattice:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FiniteLattice":
-        try:
-            elements = data["elements"]
-            covers = data["covers"]
-        except (KeyError, TypeError) as exc:
-            raise InvalidPoset(f"missing field in lattice data: {exc}") from None
-        return cls(FinitePoset(elements, covers), data.get("generators"))
+        return cls(FinitePoset.from_dict(data), data.get("generators"))
 
     def to_dot(self) -> str:
         heights = self.poset.heights()
@@ -364,21 +432,9 @@ def chain(n: int) -> FiniteLattice:
 
 def generated_sublattice(L: FiniteLattice, seed: Iterable[str]) -> set[str]:
     """Closure of ``seed`` under binary meet and join."""
-    out = sorted(set(seed))
-    for e in out:
-        L.poset.index(e)
-    seen = set(out)
-    i = 0
-    while i < len(out):
-        a = out[i]
-        for j in range(i + 1):
-            b = out[j]
-            for c in (L.meet(a, b), L.join(a, b)):
-                if c not in seen:
-                    seen.add(c)
-                    out.append(c)
-        i += 1
-    return seen
+    meet, join, els = L._meet, L._join, L.poset.elements
+    closed = closure(map(L.poset.index, seed), lambda a, b: (meet[a][b], join[a][b]))
+    return {els[i] for i in closed}
 
 
 def minimal_generating_set(L: FiniteLattice) -> tuple[str, ...]:
@@ -636,28 +692,7 @@ def check_whitman(L: FiniteLattice, max_size: int = DEFAULT_ENUM_CAP) -> Conditi
     join or the meet lies below some joinand.  Checked over pairs of nonempty
     antichains; antichains of size one satisfy the condition trivially."""
     _check_enum_cap(L, max_size)
-    p_ = L.poset
-    down, up = p_._down, p_._up
-    s_items = [
-        (S, p_._mask_of(S), p_.index(L.meet_set(S)))
-        for S in _antichains(L)
-        if len(S) >= 2
-    ]
-    t_items = [
-        (T, p_._mask_of(T), p_.index(L.join_set(T)))
-        for T in _antichains(L)
-        if len(T) >= 2
-    ]
-    for S, s_mask, m_idx in s_items:
-        for T, t_mask, j_idx in t_items:
-            if not (down[j_idx] >> p_._pos[m_idx]) & 1:
-                continue  # meet not below join
-            if s_mask & down[j_idx]:
-                continue  # some s below the join
-            if t_mask & up[m_idx]:
-                continue  # meet below some t
-            return ConditionReport(False, (S, T))
-    return ConditionReport(True)
+    return _antichain_scan(L, 0)
 
 
 def check_dean(
@@ -674,27 +709,29 @@ def check_dean(
         L.poset.index(g)
     if generated_sublattice(L, gens) != set(L.elements):
         raise NotGenerating(f"{gens} does not generate the lattice")
+    return _antichain_scan(L, L.poset._mask_of(gens))
+
+
+def _antichain_scan(L: FiniteLattice, p_mask: int) -> ConditionReport:
+    """First pair ``(S, T)`` of antichains of size two or more, in
+    enumeration order, with ``meet(S) <= join(T)`` and no escape: no ``s``
+    below the join, no ``t`` above the meet and no element of ``p_mask``
+    between them.  Whitman's condition is the scan with an empty mask."""
     p_ = L.poset
-    down, up = p_._down, p_._up
-    p_mask = p_._mask_of(gens)
-    s_items = [
-        (S, p_._mask_of(S), p_.index(L.meet_set(S)))
+    down, up, pos = p_._down, p_._up, p_._pos
+    items = [
+        (S, p_._mask_of(S), p_.index(L.meet_set(S)), p_.index(L.join_set(S)))
         for S in _antichains(L)
         if len(S) >= 2
     ]
-    t_items = [
-        (T, p_._mask_of(T), p_.index(L.join_set(T)))
-        for T in _antichains(L)
-        if len(T) >= 2
-    ]
-    for S, s_mask, m_idx in s_items:
-        for T, t_mask, j_idx in t_items:
-            if not (down[j_idx] >> p_._pos[m_idx]) & 1:
-                continue
+    for S, s_mask, m_idx, _ in items:
+        for T, t_mask, _, j_idx in items:
+            if not (down[j_idx] >> pos[m_idx]) & 1:
+                continue  # meet not below join
             if s_mask & down[j_idx]:
-                continue
+                continue  # some s below the join
             if t_mask & up[m_idx]:
-                continue
+                continue  # meet below some t
             if up[m_idx] & down[j_idx] & p_mask:
                 continue  # interpolating generator
             return ConditionReport(False, (S, T))

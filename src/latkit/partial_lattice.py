@@ -55,6 +55,7 @@ from .order import (
     FiniteLattice,
     FinitePoset,
     LowerBoundedReport,
+    _covers_from_order,
     build_lattice,
     generated_sublattice,
     is_lower_bounded_finite,
@@ -190,7 +191,7 @@ class PartialLattice:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PartialLattice":
-        poset = FinitePoset(data["elements"], data["covers"])
+        poset = FinitePoset.from_dict(data)
         joins = [(tuple(k), v) for k, v in data.get("joins", [])]
         meets = [(tuple(k), v) for k, v in data.get("meets", [])]
         return cls(poset, joins, meets)
@@ -401,6 +402,8 @@ def closure_stage(P: PartialLattice, n: int, cap: int = 4000) -> ClosureStage:
 
 
 def _fp_close(P: PartialLattice, reps: list[Term], combine, extra: Term, cap: int):
+    # Not order.closure: members are deduplicated up to eq_fp, keeping the
+    # smallest representative, and fp terms have no hashable normal form.
     out: list[Term] = []
 
     def add(t: Term) -> None:
@@ -430,18 +433,9 @@ def semilattice_to_lattice(stage: ClosureStage) -> FiniteLattice:
     lower bounds within the stage) and return it as a finite lattice whose
     element ids are the printed representatives."""
     ids = [term_to_text(r) for r in stage.reps]
-    n = len(ids)
-    covers = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and stage.order[i][j] and not stage.order[j][i]:
-                if not any(
-                    k != i and k != j and stage.order[i][k] and stage.order[k][j]
-                    and not stage.order[k][i] and not stage.order[j][k]
-                    for k in range(n)
-                ):
-                    covers.append((ids[i], ids[j]))
-    return build_lattice(FinitePoset(ids, covers))
+    order = stage.order
+    covers = _covers_from_order(range(len(ids)), lambda i, j: order[i][j])
+    return build_lattice(FinitePoset(ids, [(ids[i], ids[j]) for i, j in covers]))
 
 
 def standard_hom_image(P: PartialLattice, stage: ClosureStage, t: Term) -> Term:
@@ -524,16 +518,7 @@ def is_lower_bounded_sublattice(
             sub = sorted(generated_sublattice(lat, ids))
             # covers rebuilt from scratch: ambient covers may skip through
             # elements outside the sublattice
-            sub_covers = []
-            for a in sub:
-                for b in sub:
-                    if a != b and lat.leq(a, b):
-                        if not any(
-                            c != a and c != b and lat.leq(a, c) and lat.leq(c, b)
-                            for c in sub
-                        ):
-                            sub_covers.append((a, b))
-            sublat = build_lattice(FinitePoset(sub, sub_covers))
+            sublat = build_lattice(FinitePoset(sub, _covers_from_order(sub, lat.leq)))
             rep = is_lower_bounded_finite(sublat)
             return FpBoundednessReport(rep.ok, sublat, rep, n)
     raise CapExceeded(max_stage, "stage search for the generating terms")

@@ -9,8 +9,9 @@ syntactic.  Semantic simplification (removing joinands below the join of
 the others, and so on) lives in :mod:`latkit.free`.
 
 Terms are interned: structurally equal terms are the same object, so
-equality and hashing are cheap and dictionaries keyed on term pairs are
-fast.
+equality and hashing are by identity and dictionaries keyed on term pairs
+are fast.  Build terms only through :func:`gen`, :func:`meet_of` and
+:func:`join_of`; a directly constructed node is not interned.
 
 Grammar for the wire format::
 
@@ -50,10 +51,7 @@ _RESERVED = frozenset("&|()")
 class Term:
     """Base class of :class:`Gen`, :class:`Meet` and :class:`Join`."""
 
-    __slots__ = ("_hash", "_key", "_gens", "_size")
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ("_key", "_gens", "_size")
 
     def __lt__(self, other: "Term") -> bool:
         # Structural order, not the lattice order.
@@ -68,45 +66,27 @@ class Gen(Term):
 
     def __init__(self, name: str):
         self.name = name
-        self._hash = hash(("g", name))
         self._key = None
         self._gens = frozenset((name,))
         self._size = 1
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, Gen) and other.name == self.name)
-
-    __hash__ = Term.__hash__
 
 
 class _Compound(Term):
     __slots__ = ("children",)
 
-    _tag = "?"
-
     def __init__(self, children: tuple[Term, ...]):
         self.children = children
-        self._hash = hash((self._tag, children))
         self._key = None
         self._gens = None
         self._size = None
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            type(other) is type(self) and other.children == self.children  # type: ignore[attr-defined]
-        )
-
-    __hash__ = Term.__hash__
-
 
 class Meet(_Compound):
     __slots__ = ()
-    _tag = "m"
 
 
 class Join(_Compound):
     __slots__ = ()
-    _tag = "j"
 
 
 _GEN_CACHE: dict[str, Gen] = {}

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 M3 = {
     "elements": ["0", "1", "a", "b", "c"],
     "covers": [["0", "a"], ["0", "b"], ["0", "c"], ["a", "1"], ["b", "1"], ["c", "1"]],
@@ -306,3 +308,38 @@ def test_verify_certificate_unknown_kind(tmp_path):
         assert check.returncode == 2
         assert check.stdout == ""
         assert check.stderr == f"error: no checker for certificate kind '{kind}'\n"
+
+
+NO_COVERS = {"elements": ["x", "y"]}
+SHORT_COVER = {"elements": ["0", "1"], "covers": [["0"]]}
+MIXED_IDS = {"elements": ["0", 1], "covers": [["0", 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (("fp", "whitman", "{p}"), {"p": NO_COVERS}),
+        (("fp", "whitman", "{p}"), {"p": SHORT_COVER}),
+        (("lattice", "bounded", "{p}"), {"p": SHORT_COVER}),
+        (("fp", "whitman", "{p}"), {"p": MIXED_IDS}),
+        (("lattice", "bounded", "{p}"), {"p": MIXED_IDS}),
+        (("fp", "leq", "{p}", "x"), {"p": ANTICHAIN3}),
+        (("free", "leq", "--gens", "x,y", "x"), {}),
+        (("free", "rank", "--gens", "x,y", "x", "y"), {}),
+    ],
+    ids=[
+        "fp-no-covers",
+        "fp-short-cover",
+        "lattice-short-cover",
+        "fp-mixed-ids",
+        "lattice-mixed-ids",
+        "fp-leq-one-term",
+        "free-leq-one-term",
+        "free-rank-two-terms",
+    ],
+)
+def test_bad_input_is_a_usage_error(tmp_path, argv, files):
+    proc = run_cli(*argv, files=files, tmp_path=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

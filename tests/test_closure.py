@@ -1,0 +1,95 @@
+"""The shared closure worklist against a naive "repeat until no change"
+closure, and the graph-closure hom extension against an element-by-element
+check of meet and join preservation."""
+
+import random
+
+import pytest
+
+from latkit.errors import CapExceeded, NotAHomomorphism
+from latkit.homs import Hom, sublattice_closure
+from latkit.order import closure, evaluate_term, generated_sublattice, minimal_generating_set
+from latkit.terms import gen, join_of, meet_of
+
+from helpers import random_lattice
+
+
+def naive_closure(seed, ops):
+    """Apply every operation to every ordered pair until nothing is new."""
+    s = set(seed)
+    while True:
+        new = {op(a, b) for a in s for b in s for op in ops} - s
+        if not new:
+            return s
+        s |= new
+
+
+def test_generated_sublattice_matches_naive():
+    rng = random.Random(41)
+    for _ in range(60):
+        L = random_lattice(rng, ground=5, min_size=3, max_size=14)
+        seed = rng.sample(L.elements, rng.randint(1, 3))
+        want = naive_closure(seed, (L.meet, L.join))
+        assert generated_sublattice(L, seed) == want
+        ops = lambda a, b: (L.meet(a, b), L.join(a, b))
+        assert closure(seed, ops, cap=len(want)) == want
+        with pytest.raises(CapExceeded):
+            closure(seed, ops, cap=len(want) - 1)
+
+
+def test_sublattice_closure_matches_naive():
+    rng = random.Random(43)
+    for _ in range(40):
+        A = random_lattice(rng, ground=4, min_size=3, max_size=8)
+        B = random_lattice(rng, ground=4, min_size=3, max_size=8)
+        seed = [(rng.choice(A.elements), rng.choice(B.elements)) for _ in range(3)]
+        want = naive_closure(
+            seed,
+            (
+                lambda p, q: (A.meet(p[0], q[0]), B.meet(p[1], q[1])),
+                lambda p, q: (A.join(p[0], q[0]), B.join(p[1], q[1])),
+            ),
+        )
+        assert sublattice_closure(A, B, seed, cap=len(want)).pairs == want
+        with pytest.raises(CapExceeded):
+            sublattice_closure(A, B, seed, cap=len(want) - 1)
+
+
+def naive_is_hom(A, D, images) -> bool:
+    """Name each source element by a term over the generators, map it to
+    that term's value in ``D`` and check every meet and join.  A hom
+    extending ``images`` exists exactly when this map is one."""
+    terms = {g: gen(g) for g in A.generators}
+    while len(terms) < len(A):
+        for a, s in list(terms.items()):
+            for b, t in list(terms.items()):
+                terms.setdefault(A.meet(a, b), meet_of([s, t]))
+                terms.setdefault(A.join(a, b), join_of([s, t]))
+    f = {a: evaluate_term(D, images, t) for a, t in terms.items()}
+    return all(
+        f[A.meet(a, b)] == D.meet(f[a], f[b]) and f[A.join(a, b)] == D.join(f[a], f[b])
+        for a in A.elements
+        for b in A.elements
+    )
+
+
+def test_hom_extension_matches_elementwise_check():
+    rng = random.Random(47)
+    verdicts = set()
+    for _ in range(150):
+        A = random_lattice(rng, ground=4, min_size=3, max_size=10)
+        A = A.with_generators(minimal_generating_set(A))
+        D = random_lattice(rng, ground=3, min_size=2, max_size=5)
+        images = {g: rng.choice(D.elements) for g in A.generators}
+        expected = naive_is_hom(A, D, images)
+        verdicts.add(expected)
+        if expected:
+            g = Hom(A, D, images)
+            for a in A.elements:
+                for b in A.elements:
+                    assert g.apply(A.meet(a, b)) == D.meet(g.apply(a), g.apply(b))
+                    assert g.apply(A.join(a, b)) == D.join(g.apply(a), g.apply(b))
+        else:
+            with pytest.raises(NotAHomomorphism, match="conflicting images"):
+                Hom(A, D, images)
+    assert verdicts == {True, False}
