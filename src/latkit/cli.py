@@ -7,8 +7,10 @@ the verdict, the witness and enough input context for the
 ``verify-certificate`` subcommand to re-check it independently.  Output is
 deterministic: identical inputs produce identical bytes.
 
-Default caps come from the ``LATKIT_CAP`` environment variable when set and
-can be overridden per invocation with ``--cap``.
+The closure and stage caps of ``fp bounded`` and ``fiber`` default to the
+``LATKIT_CAP`` environment variable when set and can be overridden per
+invocation with ``--cap``.  The ``lattice`` checks run in polynomial time and
+take no cap.
 """
 
 from __future__ import annotations
@@ -114,6 +116,18 @@ def _emit(args, doc: dict, human_lines: list[str]) -> int:
     return EXIT_YES if doc["verdict"] else EXIT_NO
 
 
+def _emit_condition(args, doc: dict, rep) -> int:
+    """Emit an antichain condition report: ``doc`` gains the verdict and the
+    ``S``/``T`` witness, and the condition is named after ``doc["kind"]``."""
+    S, T = map(list, rep.witness or ((), ()))
+    doc.update(verdict=rep.ok, witness=None if rep.ok else {"S": S, "T": T},
+               certificate=None)
+    lines = [f"{doc['kind'].removeprefix('fp-')} condition: {rep.ok}"]
+    if not rep.ok:
+        lines.append(f"witness S={S} T={T}")
+    return _emit(args, doc, lines)
+
+
 # --- subcommand handlers ---
 
 
@@ -185,37 +199,14 @@ def _cmd_lattice(args) -> int:
             lines.append(f"dependency cycle: {' -> '.join(rep.cycle)}")
         return _emit(args, doc, lines)
     if args.action == "whitman":
-        rep = check_whitman(lat, max_size=args.cap if args.cap else 20)
-        doc = {
-            "kind": "whitman",
-            "input": lat.to_dict(),
-            "verdict": rep.ok,
-            "witness": None
-            if rep.ok
-            else {"S": list(rep.witness[0]), "T": list(rep.witness[1])},
-            "certificate": None,
-        }
-        lines = [f"whitman condition: {rep.ok}"]
-        if not rep.ok:
-            lines.append(f"witness S={list(rep.witness[0])} T={list(rep.witness[1])}")
-        return _emit(args, doc, lines)
+        doc = {"kind": "whitman", "input": lat.to_dict()}
+        return _emit_condition(args, doc, check_whitman(lat))
     if args.action == "dean":
         gens = args.generators.split(",") if args.generators else None
-        rep = check_dean(lat, gens, max_size=args.cap if args.cap else 20)
-        doc = {
-            "kind": "dean",
-            "input": lat.to_dict(),
-            "generators": gens or list(lat.generators),
-            "verdict": rep.ok,
-            "witness": None
-            if rep.ok
-            else {"S": list(rep.witness[0]), "T": list(rep.witness[1])},
-            "certificate": None,
-        }
-        lines = [f"dean condition: {rep.ok}"]
-        if not rep.ok:
-            lines.append(f"witness S={list(rep.witness[0])} T={list(rep.witness[1])}")
-        return _emit(args, doc, lines)
+        rep = check_dean(lat, gens)
+        doc = {"kind": "dean", "input": lat.to_dict(),
+               "generators": gens or list(lat.generators)}
+        return _emit_condition(args, doc, rep)
     raise SystemExit(_usage_error(f"unknown lattice action {args.action!r}"))
 
 
@@ -270,20 +261,8 @@ def _cmd_fp(args) -> int:
                "certificate": None}
         return _emit(args, doc, [str(verdict).lower()])
     if args.action == "whitman":
-        rep = partial_whitman_check(P)
-        doc = {
-            "kind": "fp-whitman",
-            "input": P.to_dict(),
-            "verdict": rep.ok,
-            "witness": None
-            if rep.ok
-            else {"S": list(rep.witness[0]), "T": list(rep.witness[1])},
-            "certificate": None,
-        }
-        lines = [f"whitman condition: {rep.ok}"]
-        if not rep.ok:
-            lines.append(f"witness S={list(rep.witness[0])} T={list(rep.witness[1])}")
-        return _emit(args, doc, lines)
+        doc = {"kind": "fp-whitman", "input": P.to_dict()}
+        return _emit_condition(args, doc, partial_whitman_check(P))
     if args.action == "bounded":
         cap = args.cap or _default_cap()
         if args.generators:
@@ -645,7 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lower-only", action="store_true")
     p.add_argument("--upper-only", action="store_true")
     p.add_argument("--generators", help="comma separated ids (dean)")
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int,
+                   help="accepted and ignored: lattice actions take no cap")
     p.set_defaults(fn=_cmd_lattice)
 
     p = sub.add_parser("free", help="free lattice word problem")

@@ -57,8 +57,6 @@ __all__ = [
     "closure",
 ]
 
-DEFAULT_ENUM_CAP = 20
-
 X = TypeVar("X", bound=Hashable)
 
 
@@ -102,6 +100,11 @@ def _covers_from_order(
         and leq(a, b)
         and not any(c != a and c != b and leq(a, c) and leq(c, b) for c in items)
     ]
+
+
+def _is_ids(value) -> bool:
+    """Whether a document field is a list of string element ids."""
+    return isinstance(value, (list, tuple)) and all(isinstance(e, str) for e in value)
 
 
 class FinitePoset:
@@ -192,15 +195,10 @@ class FinitePoset:
             covers = data["covers"]
         except (KeyError, TypeError) as exc:
             raise InvalidPoset(f"missing field in lattice data: {exc}") from None
-        if not isinstance(elements, (list, tuple)) or not all(
-            isinstance(e, str) for e in elements
-        ):
+        if not _is_ids(elements):
             raise InvalidPoset("'elements' must be a list of string ids")
         if not isinstance(covers, (list, tuple)) or not all(
-            isinstance(c, (list, tuple))
-            and len(c) == 2
-            and all(isinstance(e, str) for e in c)
-            for c in covers
+            _is_ids(c) and len(c) == 2 for c in covers
         ):
             raise InvalidPoset("'covers' must be a list of [lower, upper] id pairs")
         return cls(elements, covers)
@@ -304,11 +302,10 @@ class FiniteLattice:
                 join[i][j] = join[j][i] = mu
         self._meet = meet
         self._join = join
-        bitems = [e for e in poset.elements if down[poset._index[e]].bit_count() == 1]
-        titems = [e for e in poset.elements if up[poset._index[e]].bit_count() == 1]
-        assert len(bitems) == 1 and len(titems) == 1
-        self.bottom = bitems[0]
-        self.top = titems[0]
+        # with every meet and join present, the ends of the linear extension
+        # are the unique minimal and maximal elements
+        self.bottom = poset.elements[order[0]]
+        self.top = poset.elements[order[-1]]
         if generators is None:
             self.generators = poset.elements
         else:
@@ -396,7 +393,11 @@ class FiniteLattice:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FiniteLattice":
-        return cls(FinitePoset.from_dict(data), data.get("generators"))
+        poset = FinitePoset.from_dict(data)
+        generators = data.get("generators")
+        if generators is not None and not _is_ids(generators):
+            raise InvalidPoset("'generators' must be a list of string ids")
+        return cls(poset, generators)
 
     def to_dot(self) -> str:
         heights = self.poset.heights()
@@ -481,11 +482,6 @@ def meet_irreducibles(L: FiniteLattice) -> tuple[str, ...]:
     )
 
 
-def _check_enum_cap(L: FiniteLattice, max_size: int) -> None:
-    if len(L) > max_size:
-        raise CapExceeded(max_size, f"subset enumeration over {len(L)} elements")
-
-
 def _antichains(
     L: FiniteLattice, universe: Sequence[str] | None = None
 ) -> Iterator[tuple[str, ...]]:
@@ -504,19 +500,16 @@ def _antichains(
     yield from rec(0, ())
 
 
-def is_join_prime(L: FiniteLattice, p: str, max_size: int = DEFAULT_ENUM_CAP) -> bool:
+def is_join_prime(L: FiniteLattice, p: str) -> bool:
     """``p <= join(A)`` forces ``p <= a`` for some ``a`` in ``A``, for every
-    antichain ``A`` (the empty antichain rules out the bottom element)."""
+    set ``A``; equivalently ``p`` is not below the join of all the elements
+    not above it (the empty join rules out the bottom element)."""
     L.poset.index(p)
-    _check_enum_cap(L, max_size)
-    for A in _antichains(L):
-        if L.leq(p, L.join_set(A)) and not any(L.leq(p, a) for a in A):
-            return False
-    return True
+    return not L.leq(p, L.join_set(x for x in L.elements if not L.leq(p, x)))
 
 
-def is_meet_prime(L: FiniteLattice, p: str, max_size: int = DEFAULT_ENUM_CAP) -> bool:
-    return is_join_prime(L.dual(), p, max_size)
+def is_meet_prime(L: FiniteLattice, p: str) -> bool:
+    return is_join_prime(L.dual(), p)
 
 
 @dataclass(frozen=True)
@@ -531,15 +524,17 @@ class JoinCover:
 
 
 def minimal_join_covers(
-    L: FiniteLattice, p: str, max_size: int = DEFAULT_ENUM_CAP
+    L: FiniteLattice, p: str, max_size: int = 20
 ) -> tuple[JoinCover, ...]:
     """All minimal nontrivial join covers of ``p`` consisting of join
     irreducibles: antichain covers such that every cover of ``p`` refining
     them contains them.  Enumeration-based; meant for small lattices and as
-    the oracle for :func:`d_relation`."""
+    the oracle for :func:`d_relation`, so it raises :class:`CapExceeded` on
+    lattices of more than ``max_size`` elements."""
     if p not in set(join_irreducibles(L)):
         raise ValueError(f"{p!r} is not join irreducible")
-    _check_enum_cap(L, max_size)
+    if len(L) > max_size:
+        raise CapExceeded(max_size, f"subset enumeration over {len(L)} elements")
     ji = join_irreducibles(L)
     cands = [
         A
@@ -687,23 +682,17 @@ class ConditionReport:
         return self.ok
 
 
-def check_whitman(L: FiniteLattice, max_size: int = DEFAULT_ENUM_CAP) -> ConditionReport:
+def check_whitman(L: FiniteLattice) -> ConditionReport:
     """Whenever a meet lies below a join, some meetand already lies below the
-    join or the meet lies below some joinand.  Checked over pairs of nonempty
-    antichains; antichains of size one satisfy the condition trivially."""
-    _check_enum_cap(L, max_size)
+    join or the meet lies below some joinand.  Checked over pairs of
+    two-element antichains (see :func:`_antichain_scan`)."""
     return _antichain_scan(L, 0)
 
 
-def check_dean(
-    L: FiniteLattice,
-    P: Iterable[str] | None = None,
-    max_size: int = DEFAULT_ENUM_CAP,
-) -> ConditionReport:
+def check_dean(L: FiniteLattice, P: Iterable[str] | None = None) -> ConditionReport:
     """Like :func:`check_whitman` with a third escape: some designated
     generator interpolates between the meet and the join.  ``P`` defaults to
     the lattice's generating set and must generate."""
-    _check_enum_cap(L, max_size)
     gens = tuple(sorted(set(P))) if P is not None else L.generators
     for g in gens:
         L.poset.index(g)
@@ -713,16 +702,26 @@ def check_dean(
 
 
 def _antichain_scan(L: FiniteLattice, p_mask: int) -> ConditionReport:
-    """First pair ``(S, T)`` of antichains of size two or more, in
-    enumeration order, with ``meet(S) <= join(T)`` and no escape: no ``s``
-    below the join, no ``t`` above the meet and no element of ``p_mask``
-    between them.  Whitman's condition is the scan with an empty mask."""
+    """First pair ``(S, T)`` of two-element antichains, both in lexicographic
+    order with ``S`` outermost, with ``meet(S) <= join(T)`` and no escape: no
+    ``s`` below the join, no ``t`` above the meet and no element of
+    ``p_mask`` between them.  Whitman's condition is the scan with an empty
+    mask.
+
+    Pairs suffice: the condition for pairs implies it for all finite ``S``
+    and ``T`` by induction on ``|S| + |T|``.  Split ``S = {s} + S'`` and
+    ``T = {t} + T'`` and apply the pair condition to ``s, meet(S')`` and
+    ``t, join(T')`` (a comparable pair escapes at once); each escape is an
+    escape for ``(S, T)`` or a smaller instance, and an interpolating
+    generator of a smaller instance interpolates for ``(S, T)`` too
+    (Whitman 1941; Freese, Ježek and Nation, *Free Lattices*, ch. 1)."""
     p_ = L.poset
-    down, up, pos = p_._down, p_._up, p_._pos
+    down, up, pos, els = p_._down, p_._up, p_._pos, p_.elements
     items = [
-        (S, p_._mask_of(S), p_.index(L.meet_set(S)), p_.index(L.join_set(S)))
-        for S in _antichains(L)
-        if len(S) >= 2
+        ((els[i], els[j]), 1 << pos[i] | 1 << pos[j], L._meet[i][j], L._join[i][j])
+        for i in range(len(els))
+        for j in range(i + 1, len(els))
+        if L._meet[i][j] not in (i, j)
     ]
     for S, s_mask, m_idx, _ in items:
         for T, t_mask, _, j_idx in items:

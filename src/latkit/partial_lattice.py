@@ -46,6 +46,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     CapExceeded,
     InvalidPartialLattice,
+    InvalidPoset,
     UnknownGenerator,
     UnverifiedPreconditionWarning,
 )
@@ -56,6 +57,7 @@ from .order import (
     FinitePoset,
     LowerBoundedReport,
     _covers_from_order,
+    _is_ids,
     build_lattice,
     generated_sublattice,
     is_lower_bounded_finite,
@@ -192,9 +194,17 @@ class PartialLattice:
     @classmethod
     def from_dict(cls, data: Mapping) -> "PartialLattice":
         poset = FinitePoset.from_dict(data)
-        joins = [(tuple(k), v) for k, v in data.get("joins", [])]
-        meets = [(tuple(k), v) for k, v in data.get("meets", [])]
-        return cls(poset, joins, meets)
+        tables = []
+        for field in ("joins", "meets"):
+            entries = data.get(field, [])
+            if not isinstance(entries, (list, tuple)) or not all(
+                isinstance(e, (list, tuple)) and len(e) == 2
+                and _is_ids(e[0]) and isinstance(e[1], str)
+                for e in entries
+            ):
+                raise InvalidPoset(f"'{field}' must be a list of [[ids], id] pairs")
+            tables.append([(tuple(k), v) for k, v in entries])
+        return cls(poset, *tables)
 
     def __repr__(self) -> str:
         return (

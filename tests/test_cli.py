@@ -230,6 +230,32 @@ def test_whitman_certificate_roundtrip(tmp_path, fig_lattice):
     assert check.returncode == 0
 
 
+CHAIN24 = {
+    "elements": [f"c{i:02}" for i in range(24)],
+    "covers": [[f"c{i:02}", f"c{i + 1:02}"] for i in range(23)],
+}
+GRID5 = {
+    "elements": [f"g{i}{j}" for i in range(5) for j in range(5)],
+    "covers": [[f"g{i}{j}", f"g{i + 1}{j}"] for i in range(4) for j in range(5)]
+    + [[f"g{i}{j}", f"g{i}{j + 1}"] for i in range(5) for j in range(4)],
+}
+
+
+@pytest.mark.parametrize("lat, expect", [(CHAIN24, 0), (GRID5, 1)],
+                         ids=["chain-24", "grid-5x5"])
+def test_whitman_above_twenty_elements(tmp_path, lat, expect):
+    proc = run_cli("--json", "lattice", "whitman", "{lat}", files={"lat": lat},
+                   tmp_path=tmp_path)
+    assert proc.returncode == expect, proc.stderr
+    witness = json.loads(proc.stdout)["witness"]
+    if expect:
+        assert len(witness["S"]) == len(witness["T"]) == 2
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(proc.stdout)
+    check = run_cli("verify-certificate", str(cert_file), tmp_path=tmp_path)
+    assert check.returncode == 0, check.stdout
+
+
 def test_tampered_certificate_rejected(tmp_path):
     proc = run_cli(
         "--json", "lattice", "bounded", "{m3}", files={"m3": M3}, tmp_path=tmp_path
@@ -313,6 +339,7 @@ def test_verify_certificate_unknown_kind(tmp_path):
 NO_COVERS = {"elements": ["x", "y"]}
 SHORT_COVER = {"elements": ["0", "1"], "covers": [["0"]]}
 MIXED_IDS = {"elements": ["0", 1], "covers": [["0", 1]]}
+SHORT_JOIN = {"elements": ["x", "y"], "covers": [], "joins": [["x"]]}
 
 
 @pytest.mark.parametrize(
@@ -323,6 +350,9 @@ MIXED_IDS = {"elements": ["0", 1], "covers": [["0", 1]]}
         (("lattice", "bounded", "{p}"), {"p": SHORT_COVER}),
         (("fp", "whitman", "{p}"), {"p": MIXED_IDS}),
         (("lattice", "bounded", "{p}"), {"p": MIXED_IDS}),
+        (("fp", "whitman", "{p}"), {"p": SHORT_JOIN}),
+        (("lattice", "bounded", "{p}"), {"p": dict(SQUARE, generators=["a", 1])}),
+        (("lattice", "bounded", "{p}"), {"p": dict(SQUARE, generators="ab")}),
         (("fp", "leq", "{p}", "x"), {"p": ANTICHAIN3}),
         (("free", "leq", "--gens", "x,y", "x"), {}),
         (("free", "rank", "--gens", "x,y", "x", "y"), {}),
@@ -333,6 +363,9 @@ MIXED_IDS = {"elements": ["0", 1], "covers": [["0", 1]]}
         "lattice-short-cover",
         "fp-mixed-ids",
         "lattice-mixed-ids",
+        "fp-short-join",
+        "lattice-mixed-generators",
+        "lattice-string-generators",
         "fp-leq-one-term",
         "free-leq-one-term",
         "free-rank-two-terms",

@@ -165,6 +165,26 @@ def test_is_join_prime(two, m3, square):
         is_join_prime(two, "zz")
 
 
+def _join_prime_over_subsets(L, p):
+    for r in range(len(L.elements) + 1):
+        for A in itertools.combinations(L.elements, r):
+            if L.leq(p, L.join_set(A)) and not any(L.leq(p, a) for a in A):
+                return False
+    return True
+
+
+def test_join_prime_matches_subset_oracle(m3, square, n5):
+    rng = random.Random(17)
+    lattices = [m3, square, n5, chain(4)] + [
+        random_lattice(rng, ground=4, min_size=3, max_size=10) for _ in range(8)
+    ]
+    for L in lattices:
+        D = L.dual()
+        for p in L.elements:
+            assert is_join_prime(L, p) == _join_prime_over_subsets(L, p)
+            assert is_meet_prime(L, p) == _join_prime_over_subsets(D, p)
+
+
 # --- minimal join covers and the dependency digraph ---
 
 
@@ -373,7 +393,7 @@ def test_enum_cap_is_loud():
     rng = random.Random(2)
     L = random_lattice(rng, ground=4, min_size=5, max_size=10)
     with pytest.raises(CapExceeded):
-        check_whitman(L, max_size=3)
+        minimal_join_covers(L, join_irreducibles(L)[0], max_size=3)
 
 
 # --- evaluation ---
