@@ -49,14 +49,12 @@ from .order import (
     is_upper_bounded_finite,
 )
 from .partial_lattice import (
+    FpBoundednessReport,
     PartialLattice,
-    closure_stage,
-    is_bounded_fp,
     is_lower_bounded_fp,
     is_lower_bounded_sublattice,
     leq_fp,
     partial_whitman_check,
-    semilattice_to_lattice,
 )
 from .terms import Term, parse, term_to_text
 
@@ -265,28 +263,15 @@ def _cmd_fp(args) -> int:
         return _emit_condition(args, doc, partial_whitman_check(P))
     if args.action == "bounded":
         cap = args.cap or _default_cap()
+        terms = None
         if args.generators:
             terms = [parse(t) for t in args.generators.split(";") if t.strip()]
-            reports = {}
-            if not args.upper_only:
-                reports["lower"] = is_lower_bounded_sublattice(
-                    P, terms, n_hint=args.stage or 0, cap=cap,
-                    assume_condition=args.assume_condition,
-                )
-            if not args.lower_only:
-                dual_terms = [_dual_term(t) for t in terms]
-                reports["upper"] = is_lower_bounded_sublattice(
-                    P.dual(), dual_terms, n_hint=args.stage or 0, cap=cap,
-                    assume_condition=args.assume_condition,
-                )
-        else:
-            if args.lower_only:
-                reports = {"lower": is_lower_bounded_fp(P, cap)}
-            elif args.upper_only:
-                reports = {"upper": is_lower_bounded_fp(P.dual(), cap)}
-            else:
-                lower, upper = is_bounded_fp(P, cap)
-                reports = {"lower": lower, "upper": upper}
+        sides = (["lower"] if args.lower_only else ["upper"] if args.upper_only
+                 else ["lower", "upper"])
+        reports = {
+            side: _fp_report(P, side, terms, cap, args.stage or 0, 8, args.assume_condition)
+            for side in sides
+        }
         verdict = all(r.ok for r in reports.values())
         cert = {
             side: {
@@ -567,22 +552,30 @@ def _reverify(doc: dict, kind: str) -> bool:
     raise SystemExit(_usage_error(f"no checker for certificate kind {kind!r}"))
 
 
+def _fp_report(P: PartialLattice, side: str, terms, cap: int, n_hint: int,
+               max_stage: int, assume_condition: bool) -> FpBoundednessReport:
+    """One side of ``fp bounded``: the lower report on ``P`` or on its dual,
+    for the whole presentation or, with generating terms, for the sublattice
+    they span."""
+    Q = P if side == "lower" else P.dual()
+    if terms is None:
+        return is_lower_bounded_fp(Q, cap)
+    if side == "upper":
+        terms = [_dual_term(t) for t in terms]
+    return is_lower_bounded_sublattice(
+        Q, terms, n_hint=n_hint, cap=cap, max_stage=max_stage,
+        assume_condition=assume_condition,
+    )
+
+
 def _fp_stage_lattice(P: PartialLattice, side: str, terms, cert: dict) -> FiniteLattice:
     """The stage lattice ``fp bounded`` computes for one side: the
     join-closure stage of the presentation, or with generating terms the
     sublattice they span in the recorded stage."""
-    cap = _default_cap()
-    Q = P if side == "lower" else P.dual()
-    if terms is None:
-        return semilattice_to_lattice(closure_stage(Q, 0, cap))
-    n = cert["stage"]
+    n = 0 if terms is None else cert["stage"]
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"bad stage {n!r}")
-    if side == "upper":
-        terms = [_dual_term(t) for t in terms]
-    return is_lower_bounded_sublattice(
-        Q, terms, n_hint=n, cap=cap, max_stage=n, assume_condition=True
-    ).stage_lattice
+    return _fp_report(P, side, terms, _default_cap(), n, n, True).stage_lattice
 
 
 def _reverify_lb(lat: FiniteLattice, cert: dict) -> bool:

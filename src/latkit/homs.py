@@ -634,6 +634,9 @@ def verify_non_generation(
 ) -> bool:
     """Re-check a certificate from its definition: common image, stage
     membership, bound recomputation and the strict drop."""
+    if not (g.free_source and h.free_source):
+        raise UnknownElement("witness check needs free sources")
+    _require_same_target(g, h)
     ctx_a: FreeLattice = g.source  # type: ignore[assignment]
     if g.apply(cert.a) != cert.d or h.apply(cert.b) != cert.d:
         return False

@@ -11,7 +11,8 @@ cycle test, and the interpolation-style antichain conditions used as
 hypotheses elsewhere in the package.
 
 :func:`closure` is the one worklist behind every finite closure in the
-package: generated sublattices, the stage sets ``G_k``/``H_k``, sublattices
+package: generated sublattices, the stage sets ``G_k``/``H_k``, the closure
+stages of finitely presented lattices (keyed by basis masks), sublattices
 of products spanned by pair sets, the graph of a homomorphism and the
 truncated closures of the inflated lattice.
 """

@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import and_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -59,6 +61,7 @@ from .order import (
     _covers_from_order,
     _is_ids,
     build_lattice,
+    closure,
     generated_sublattice,
     is_lower_bounded_finite,
 )
@@ -136,25 +139,26 @@ class PartialLattice:
     def _normalise(poset: FinitePoset, table, upper: bool):
         items = table.items() if isinstance(table, Mapping) else table
         out: dict[tuple[str, ...], str] = {}
+        # bounds[i]: the elements on the bounding side of element i
+        bounds = poset._up if upper else poset._down
+        word = "supremum" if upper else "infimum"
         for subset, value in items:
             key = tuple(sorted(set(subset)))
             if not key:
                 raise InvalidPartialLattice("empty argument set")
             for e in key + (value,):
                 poset.index(e)
-            bound = (lambda a, b: poset.leq(a, b)) if upper else (
-                lambda a, b: poset.leq(b, a)
-            )
-            word = "supremum" if upper else "infimum"
-            if not all(bound(e, value) for e in key):
+            common = reduce(and_, (bounds[poset._index[e]] for e in key))
+            v = poset._index[value]
+            if not common >> poset._pos[v] & 1:
                 raise InvalidPartialLattice(
                     f"{value!r} is not an upper/lower bound of {key}"
                 )
-            for other in poset.elements:
-                if all(bound(e, other) for e in key) and not bound(value, other):
-                    raise InvalidPartialLattice(
-                        f"{value!r} is not the {word} of {key} ({other!r} is tighter)"
-                    )
+            if common != bounds[v]:
+                other = poset._ids_of(common & ~bounds[v])[0]
+                raise InvalidPartialLattice(
+                    f"{value!r} is not the {word} of {key} ({other!r} is tighter)"
+                )
             if len(key) == 1:
                 continue  # singleton entries carry no information
             if key in out and out[key] != value:
@@ -367,75 +371,77 @@ def partial_whitman_check(P: PartialLattice) -> ConditionReport:
 @dataclass(frozen=True)
 class ClosureStage:
     """Representatives of an alternating closure stage of the generated
-    lattice, ending with a join closure, together with the precomputed order
-    matrix between representatives."""
+    lattice, ending with a join closure.  ``basis`` is what that join closure
+    started from, and ``masks[i]`` marks the basis members below ``reps[i]``:
+    a representative is the join of its mask, so masks name representatives
+    and order between them is inclusion of masks."""
 
     partial: PartialLattice
     n: int
     reps: tuple[Term, ...]
-    order: tuple[tuple[bool, ...], ...]
+    masks: tuple[int, ...]
+    basis: tuple[Term, ...]
     least_index: int
 
     def leq(self, i: int, j: int) -> bool:
-        return self.order[i][j]
+        return self.masks[i] & ~self.masks[j] == 0
+
+    def _below(self, t: Term) -> int:
+        """Index of the largest representative below ``t``."""
+        return self.masks.index(_mask_over(self.partial._leq, self.basis, t))
 
     def index_of_equivalent(self, t: Term) -> int | None:
-        for i, r in enumerate(self.reps):
-            if eq_fp(self.partial, r, t):
-                return i
-        return None
+        self.partial.check_term(t)
+        i = self._below(t)
+        return i if self.partial._leq(t, self.reps[i]) else None
 
 
 def closure_stage(P: PartialLattice, n: int, cap: int = 4000) -> ClosureStage:
     """Alternate join and meet closures ``n`` times starting from the
     generators, then close under joins once more.  Every join closure adjoins
     the empty join (the least element); every meet closure adjoins the empty
-    meet.  Representatives are deduplicated up to ``eq_fp`` keeping the
+    meet.  Each closure runs on masks over its basis, the previous
+    representatives plus the adjoined bound: a member of a join closure is
+    the join of the basis members below it, so their mask names it (dually,
+    the members above it for a meet closure).  Each mask keeps the
     structurally smallest discovered term."""
     if n < 0:
         raise ValueError("stage number must be non-negative")
     reps = [_canon(g) for g in P._gen_terms]
-    ops = []
-    for _ in range(n):
-        ops.extend(("join", "meet"))
-    ops.append("join")
-    for op in ops:
-        extra = P.bottom_term if op == "join" else P.top_term
-        combine = join_of if op == "join" else meet_of
-        reps = _fp_close(P, reps, combine, _canon(extra), cap)
-    reps_sorted = tuple(sorted(reps, key=lambda t: (term_size(t), sort_key(t))))
-    order = tuple(
-        tuple(leq_fp(P, a, b) for b in reps_sorted) for a in reps_sorted
-    )
-    least = next(i for i in range(len(reps_sorted)) if all(order[i]))
-    return ClosureStage(P, n, reps_sorted, order, least)
+    for join in [True, False] * n + [True]:
+        basis, members = _fp_close(P, reps, join, cap)
+        reps = list(members.values())
+    masks = tuple(sorted(members, key=lambda m: (term_size(members[m]), sort_key(members[m]))))
+    least = masks.index(reduce(and_, masks))
+    return ClosureStage(P, n, tuple(members[m] for m in masks), masks, basis, least)
 
 
-def _fp_close(P: PartialLattice, reps: list[Term], combine, extra: Term, cap: int):
-    # Not order.closure: members are deduplicated up to eq_fp, keeping the
-    # smallest representative, and fp terms have no hashable normal form.
-    out: list[Term] = []
+def _mask_over(leq, basis: Sequence[Term], t: Term) -> int:
+    return sum(1 << i for i, h in enumerate(basis) if leq(h, t))
 
-    def add(t: Term) -> None:
+
+def _fp_close(P: PartialLattice, reps: list[Term], join: bool, cap: int):
+    """The join (meet) closure of ``reps`` and the empty join (meet), keyed
+    by basis masks: the basis and the smallest term per mask, in discovery
+    order."""
+    if join:
+        combine, extra, leq = join_of, P.bottom_term, P._leq
+    else:
+        combine, extra, leq = meet_of, P.top_term, lambda h, t: P._leq(t, h)
+    basis = tuple(reps) + (_canon(extra),)
+    members: dict[int, Term] = {}
+
+    def add(t: Term) -> int:
         t = _canon(t)
-        for i, r in enumerate(out):
-            if eq_fp(P, r, t):
-                if (term_size(t), sort_key(t)) < (term_size(r), sort_key(r)):
-                    out[i] = t
-                return
-        if len(out) + 1 > cap:
-            raise CapExceeded(cap, "closure stage")
-        out.append(t)
+        m = _mask_over(leq, basis, t)
+        r = members.get(m)
+        if r is None or (term_size(t), sort_key(t)) < (term_size(r), sort_key(r)):
+            members[m] = t
+        return m
 
-    for r in reps:
-        add(r)
-    add(extra)
-    i = 0
-    while i < len(out):
-        for j in range(i + 1):
-            add(combine([out[i], out[j]]))
-        i += 1
-    return out
+    closure([add(h) for h in basis],
+            lambda a, b: (add(combine([members[a], members[b]])),), cap, "closure stage")
+    return basis, members
 
 
 def semilattice_to_lattice(stage: ClosureStage) -> FiniteLattice:
@@ -443,8 +449,7 @@ def semilattice_to_lattice(stage: ClosureStage) -> FiniteLattice:
     lower bounds within the stage) and return it as a finite lattice whose
     element ids are the printed representatives."""
     ids = [term_to_text(r) for r in stage.reps]
-    order = stage.order
-    covers = _covers_from_order(range(len(ids)), lambda i, j: order[i][j])
+    covers = _covers_from_order(range(len(ids)), stage.leq)
     return build_lattice(FinitePoset(ids, [(ids[i], ids[j]) for i, j in covers]))
 
 
@@ -452,14 +457,7 @@ def standard_hom_image(P: PartialLattice, stage: ClosureStage, t: Term) -> Term:
     """Image of ``t`` under the standard homomorphism onto the stage: the
     join, inside the stage, of all representatives below ``t``."""
     P.check_term(t)
-    below = [r for r in stage.reps if leq_fp(P, r, t)]
-    if not below:
-        return stage.reps[stage.least_index]
-    joined = join_of(below) if len(below) > 1 else below[0]
-    idx = stage.index_of_equivalent(joined)
-    if idx is None:
-        raise AssertionError("stage is not join closed; closure bug")
-    return stage.reps[idx]
+    return stage.reps[stage._below(t)]
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,17 @@ def test_fp_bounded_generators_warning_and_certificate(tmp_path, fig_lattice):
     assert run_cli("verify-certificate", str(cert_file)).returncode == 1
 
 
+
+@pytest.mark.parametrize("generators", [[], ["--generators", "(x & y);(x | z);y"]])
+def test_fp_bounded_both_side_flags_give_lower(tmp_path, generators):
+    proc = run_cli("--json", "fp", "bounded", "{p}", *generators, "--lower-only",
+                   "--upper-only", files={"p": ANTICHAIN3}, tmp_path=tmp_path)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["sides"] == ["lower"]
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(proc.stdout)
+    assert run_cli("verify-certificate", str(cert_file)).returncode == 0
+
 def test_verify_certificate_unknown_kind(tmp_path):
     for argv, kind in (
         (["free", "leq", "--gens", "x,y", "x", "(x | y)"], "free-leq"),

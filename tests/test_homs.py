@@ -10,6 +10,7 @@ from latkit.errors import (
     NotSurjective,
     TargetLowerBounded,
     TargetMismatch,
+    UnknownElement,
     UnknownGenerator,
 )
 from latkit.free import FreeLattice, StageIndex, eq_free, in_stage, leq_free, stage_elements
@@ -620,6 +621,21 @@ def test_witness_empty_pair_set(m3):
     assert not eq_free(ctx, cert.b, cert.bound_term)
     assert in_stage(ctx, cert.a, StageIndex(cert.k, "H"))
 
+
+
+def test_verify_witness_checks_its_homs(m3):
+    ctx = FreeLattice(["x", "y", "z"])
+    g = Hom(ctx, m3, {"x": "a", "y": "b", "z": "c"})
+    cert = non_generation_witness(g, g)
+    two = chain(2)
+    finite = Hom(two, two, {e: e for e in two.generators})
+    with pytest.raises(UnknownElement):
+        verify_non_generation(finite, finite, cert)
+    with pytest.raises(UnknownElement):
+        verify_non_generation(g, finite, cert)
+    other = Hom(FreeLattice(["x", "y"]), two, {"x": two.bottom, "y": two.top})
+    with pytest.raises(TargetMismatch):
+        verify_non_generation(g, other, cert)
 
 def _sample_fiber_pairs(rng, g, h, count):
     names_a = list(g.source.names)

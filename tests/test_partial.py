@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import all_terms_up_to, random_lattice, random_term
-from latkit.errors import InvalidPartialLattice, UnknownGenerator, UnverifiedPreconditionWarning
-from latkit.free import FreeLattice, eq_free, leq_free
+from latkit.errors import (
+    CapExceeded,
+    InvalidPartialLattice,
+    UnknownGenerator,
+    UnverifiedPreconditionWarning,
+)
+from latkit.free import FreeLattice, _canon, eq_free, leq_free
 from latkit.order import (
     FinitePoset,
     check_whitman,
@@ -26,7 +31,19 @@ from latkit.partial_lattice import (
     semilattice_to_lattice,
     standard_hom_image,
 )
-from latkit.terms import Gen, Join, Meet, gen, join_of, meet_of, parse, sort_key, subterms, term_to_text
+from latkit.terms import (
+    Gen,
+    Join,
+    Meet,
+    gen,
+    join_of,
+    meet_of,
+    parse,
+    sort_key,
+    subterms,
+    term_size,
+    term_to_text,
+)
 
 
 # --- construction ---
@@ -329,6 +346,77 @@ def test_closure_stage_invariants(m3):
         for r in st.reps:
             for s in st.reps:
                 assert st.index_of_equivalent(join_of([r, s]) if r is not s else r) is not None
+
+
+def _naive_fp_close(P, reps, combine, extra, cap):
+    out = []
+
+    def add(t):
+        t = _canon(t)
+        for i, r in enumerate(out):
+            if eq_fp(P, r, t):
+                if (term_size(t), sort_key(t)) < (term_size(r), sort_key(r)):
+                    out[i] = t
+                return
+        if len(out) + 1 > cap:
+            raise CapExceeded(cap, "closure stage")
+        out.append(t)
+
+    for r in reps:
+        add(r)
+    add(extra)
+    i = 0
+    while i < len(out):
+        for j in range(i + 1):
+            add(combine([out[i], out[j]]))
+        i += 1
+    return out
+
+
+def _naive_closure_stage(P, n, cap):
+    """Representatives, order matrix and least index of stage ``n``, with
+    members deduplicated pairwise up to ``eq_fp``."""
+    reps = [_canon(g) for g in P._gen_terms]
+    for op in ["join", "meet"] * n + ["join"]:
+        extra = P.bottom_term if op == "join" else P.top_term
+        combine = join_of if op == "join" else meet_of
+        reps = _naive_fp_close(P, reps, combine, _canon(extra), cap)
+    reps = tuple(sorted(reps, key=lambda t: (term_size(t), sort_key(t))))
+    order = tuple(tuple(leq_fp(P, a, b) for b in reps) for a in reps)
+    least = next(i for i in range(len(reps)) if all(order[i]))
+    return reps, order, least
+
+
+def _naive_hom_image(P, reps, t):
+    joined = join_of([r for r in reps if leq_fp(P, r, t)])
+    return next(r for r in reps if eq_fp(P, r, joined))
+
+
+def test_closure_stage_matches_pairwise_oracle(m3, fig_lattice):
+    rng = random.Random(61)
+    partials = [antichain(["x", "y"]), antichain(["x", "y", "z"])]
+    partials += [from_finite_lattice(L) for L in (m3, fig_lattice)]
+    partials += [from_finite_lattice(random_lattice(rng, ground=4, min_size=3, max_size=8))]
+    partials += [_random_partial(rng) for _ in range(6)]
+    for P in partials:
+        for Q in (P, P.dual()):
+            for n in (0, 1):
+                reps, order, least = _naive_closure_stage(Q, n, 4000)
+                st = closure_stage(Q, n, len(reps))
+                assert st.reps == reps, (P, n)
+                size = range(len(reps))
+                assert all(st.leq(i, j) == order[i][j] for i in size for j in size)
+                assert st.least_index == least
+                with pytest.raises(CapExceeded):
+                    closure_stage(Q, n, len(reps) - 1)
+                names = list(Q.elements)
+                for _ in range(10):
+                    t = random_term(rng, names, 3)
+                    assert standard_hom_image(Q, st, t) is _naive_hom_image(Q, reps, t)
+                    equal = [i for i, r in enumerate(reps) if eq_fp(Q, r, t)]
+                    assert [st.index_of_equivalent(t)] == (equal or [None])
+    with pytest.raises(UnknownGenerator):
+        st.index_of_equivalent(gen("w"))
 
 
 # --- the standard homomorphism ---
