@@ -9,7 +9,9 @@ the previous one met with, for every antichain of target elements that joins
 above ``d`` without any member dominating ``d``, the join of the previous
 level at those members.  The recursion at one level reads only the previous
 level, so a simultaneous fixpoint over all target elements certifies
-stabilisation.
+stabilisation.  It is written once, for beta: alpha is the same recursion
+read in the dual target, with meets and joins (and top and bottom)
+exchanged.
 
 On top of the calculus sit fiber products of two epimorphisms, the finite
 generating set of a fiber product of bounded epimorphisms, the generation
@@ -85,8 +87,9 @@ class Hom:
         "surjective",
         "_map",
         "_stages",
-        "_beta_tables",
-        "_alpha_tables",
+        "_dual",
+        "_tables",
+        "_covers",
     )
 
     def __init__(
@@ -109,8 +112,11 @@ class Hom:
             target.poset.index(v)
         self.images = {k: images[k] for k in sorted(images)}
         self._stages: list[tuple[frozenset[str], frozenset[str]]] = []
-        self._beta_tables: list[dict[str, Term]] = []
-        self._alpha_tables: list[dict[str, Term]] = []
+        self._dual: FiniteLattice | None = None
+        # free-source preimage tables and join covers, indexed by ``lower``:
+        # [0] is the alpha side, [1] the beta side
+        self._tables: tuple[list[dict[str, Term]], ...] = ([], [])
+        self._covers: list[dict[str, list[tuple[str, ...]]]] = [{}, {}]
         if isinstance(source, FiniteLattice):
             self._map = self._extend_finite()
         else:
@@ -172,6 +178,8 @@ class Hom:
         """(G_k, H_k) of the finite source; G_0 is the generating set, each
         H is the meet closure with the empty meet (top), each next G the join
         closure with the empty join (bottom)."""
+        if k < 0:
+            raise ValueError("stage must be non-negative")
         src: FiniteLattice = self.source  # type: ignore[assignment]
         while len(self._stages) <= k:
             if not self._stages:
@@ -184,6 +192,14 @@ class Hom:
             h = frozenset(closure(g | {src.top}, lambda a, b: (src.meet(a, b),)))
             self._stages.append((g, h))
         return self._stages[k]
+
+    def _side(self, lower: bool) -> FiniteLattice:
+        """The target for the beta side, its dual (built once) for alpha."""
+        if lower:
+            return self.target
+        if self._dual is None:
+            self._dual = self.target.dual()
+        return self._dual
 
     def __repr__(self) -> str:
         kind = "free" if self.free_source else "finite"
@@ -206,84 +222,71 @@ def _require_finite(g: Hom) -> FiniteLattice:
 
 def beta_k(g: Hom, d: str, k: int) -> Term | str:
     """Least element of stage ``H_k`` of the source mapping >= ``d``."""
-    g.target.poset.index(d)
-    if k < 0:
-        raise ValueError("stage must be non-negative")
-    if not g.free_source:
-        src: FiniteLattice = g.source  # type: ignore[assignment]
-        _, h = g._stage(k)
-        cands = [w for w in h if g.target.leq(d, g.apply(w))]
-        return src.meet_set(cands)  # top is in every H_k, so never empty
-    _free_tables(g, k)
-    return g._beta_tables[k][d]
+    return _level(g, d, k, True)
 
 
 def alpha_k(g: Hom, d: str, k: int) -> Term | str:
     """Greatest element of stage ``G_k`` of the source mapping <= ``d``.
     At ``k = 0`` the join may fall outside the stage itself."""
+    return _level(g, d, k, False)
+
+
+def _level(g: Hom, d: str, k: int, lower: bool) -> Term | str:
+    """``beta_k`` when ``lower``, else ``alpha_k``: the same search read in
+    the target (``lower``) or its dual, where ``<=`` is reversed."""
     g.target.poset.index(d)
+    if g.free_source:
+        return _free_tables(g, k, lower)[d]
+    src: FiniteLattice = g.source  # type: ignore[assignment]
+    D = g._side(lower)
+    cands = [w for w in g._stage(k)[lower] if D.leq(d, g.apply(w))]  # H_k or G_k
+    # top is in every H_k, so the meet is never empty
+    return src.meet_set(cands) if lower else src.join_set(cands)
+
+
+def _free_tables(g: Hom, k: int, lower: bool) -> dict[str, Term]:
+    """Level ``k`` of the term-valued beta table of a free-source hom (the
+    alpha table when not ``lower``), filling the levels below it.  Level 0
+    meets the generators mapping above ``d``; each later level adds one
+    meetand per nontrivial join cover of ``d``, listed once per side."""
     if k < 0:
         raise ValueError("stage must be non-negative")
-    if not g.free_source:
-        src: FiniteLattice = g.source  # type: ignore[assignment]
-        gk, _ = g._stage(k)
-        cands = [w for w in gk if g.target.leq(g.apply(w), d)]
-        return src.join_set(cands)
-    _free_tables(g, k)
-    return g._alpha_tables[k][d]
-
-
-def _free_tables(g: Hom, k: int) -> None:
-    """Fill the term-valued beta/alpha tables of a free-source hom up to
-    level ``k``."""
+    tables = g._tables[lower]
+    if k < len(tables):
+        return tables[k]
     ctx: FreeLattice = g.source  # type: ignore[assignment]
-    D = g.target
-    while len(g._beta_tables) <= k:
-        if not g._beta_tables:
-            beta0: dict[str, Term] = {}
-            alpha0: dict[str, Term] = {}
-            for d in D.elements:
-                over = [gen(x) for x in ctx.names if D.leq(d, g.images[x])]
-                beta0[d] = _canon(meet_of(over) if over else ctx.top_term)
-                under = [gen(x) for x in ctx.names if D.leq(g.images[x], d)]
-                alpha0[d] = _canon(join_of(under) if under else ctx.bottom_term)
-            g._beta_tables.append(beta0)
-            g._alpha_tables.append(alpha0)
-            continue
-        prev_b = g._beta_tables[-1]
-        prev_a = g._alpha_tables[-1]
-        nxt_b: dict[str, Term] = {}
-        nxt_a: dict[str, Term] = {}
-        up_antichains = list(_antichains(D))
-        for d in D.elements:
-            meetands = [prev_b[d]]
-            joinands = [prev_a[d]]
-            for E in up_antichains:
-                if D.leq(d, D.join_set(E)) and not any(D.leq(d, e) for e in E):
-                    inner = [prev_b[e] for e in E]
-                    meetands.append(
-                        join_of(inner) if len(inner) > 1 else
-                        (inner[0] if inner else ctx.bottom_term)
-                    )
-                if D.leq(D.meet_set(E), d) and not any(D.leq(e, d) for e in E):
-                    inner = [prev_a[e] for e in E]
-                    joinands.append(
-                        meet_of(inner) if len(inner) > 1 else
-                        (inner[0] if inner else ctx.top_term)
-                    )
-            nxt_b[d] = _canon(meet_of(meetands) if len(meetands) > 1 else meetands[0])
-            nxt_a[d] = _canon(join_of(joinands) if len(joinands) > 1 else joinands[0])
-        g._beta_tables.append(nxt_b)
-        g._alpha_tables.append(nxt_a)
+    D = g._side(lower)
+    meet, join, top, bottom = meet_of, join_of, ctx.top_term, ctx.bottom_term
+    if not lower:
+        meet, join, top, bottom = join, meet, bottom, top
+    if not tables:
+        antichains = list(_antichains(D))
+        g._covers[lower] = {
+            d: [E for E in antichains
+                if D.leq(d, D.join_set(E)) and not any(D.leq(d, e) for e in E)]
+            for d in D.elements
+        }
+        tables.append({
+            d: _canon(meet([gen(x) for x in ctx.names if D.leq(d, g.images[x])] or [top]))
+            for d in D.elements
+        })
+    while len(tables) <= k:
+        prev = tables[-1]
+        tables.append({
+            d: _canon(meet([prev[d]] + [join([prev[e] for e in E] or [bottom]) for E in Es]))
+            for d, Es in g._covers[lower].items()
+        })
+    return tables[k]
 
 
-def _beta_fixpoint(g: Hom, k_cap: int, size_cap: int | None = None) -> int | None:
-    """Iterate the free-source tables until two consecutive levels agree on
-    every target element.  Returns the first stable level, or None when the
-    cap (level or term size) is hit first."""
+def _fixpoint(
+    g: Hom, k_cap: int, size_cap: int | None = None, lower: bool = True
+) -> int | None:
+    """Iterate the free-source tables of one side until two consecutive
+    levels agree on every target element.  Returns the first stable level,
+    or None when the cap (level or term size) is hit first."""
     for k in range(k_cap):
-        _free_tables(g, k + 1)
-        cur, nxt = g._beta_tables[k], g._beta_tables[k + 1]
+        cur, nxt = _free_tables(g, k, lower), _free_tables(g, k + 1, lower)
         if all(cur[d] is nxt[d] for d in g.target.elements):
             return k
         if size_cap is not None and any(
@@ -293,6 +296,9 @@ def _beta_fixpoint(g: Hom, k_cap: int, size_cap: int | None = None) -> int | Non
     return None
 
 
+_beta_fixpoint = _fixpoint  # the name the beta side has always had
+
+
 def beta_stable(g: Hom, d: str, k_cap: int = 64) -> tuple[Term | str, int]:
     """Stabilised least preimage of ``d`` with the witnessing level.
 
@@ -300,54 +306,41 @@ def beta_stable(g: Hom, d: str, k_cap: int = 64) -> tuple[Term | str, int]:
     source: requires a surjective hom onto a target passing the finite
     lower-boundedness test, which guarantees the level iteration reaches a
     simultaneous fixpoint."""
-    g.target.poset.index(d)
-    if not g.surjective:
-        raise NotSurjective("stabilised preimages need an epimorphism")
-    if not g.free_source:
-        pre = g.preimage(d)
-        src: FiniteLattice = g.source  # type: ignore[assignment]
-        value = src.meet_set(pre)
-        for k in range(k_cap):
-            if beta_k(g, d, k) == value:
-                return value, k
-        raise CapExceeded(k_cap, "finite beta stabilisation")
-    if not is_lower_bounded_finite(g.target).ok:
-        raise NotLowerBounded("target fails the lower-boundedness test")
-    k = _beta_fixpoint(g, k_cap)
-    if k is None:
-        raise CapExceeded(k_cap, "beta stabilisation")
-    return g._beta_tables[k][d], k
+    return _stable(g, d, k_cap, True)
 
 
 def alpha_stable(g: Hom, d: str, k_cap: int = 64) -> tuple[Term | str, int]:
     """Greatest preimage of ``d`` with the witnessing level (dual of
-    :func:`beta_stable`)."""
+    :func:`beta_stable`: the dual target must pass the test)."""
+    return _stable(g, d, k_cap, False)
+
+
+def _preimage_bound(g: Hom, d: str, lower: bool) -> str:
+    """Meet (``lower``) or join of the preimage of ``d``, finite source."""
+    src: FiniteLattice = g.source  # type: ignore[assignment]
+    pre = g.preimage(d)
+    return src.meet_set(pre) if lower else src.join_set(pre)
+
+
+def _stable(g: Hom, d: str, k_cap: int, lower: bool) -> tuple[Term | str, int]:
     g.target.poset.index(d)
     if not g.surjective:
         raise NotSurjective("stabilised preimages need an epimorphism")
+    name = "beta" if lower else "alpha"
     if not g.free_source:
-        pre = g.preimage(d)
-        src: FiniteLattice = g.source  # type: ignore[assignment]
-        value = src.join_set(pre)
+        value = _preimage_bound(g, d, lower)
         for k in range(k_cap):
-            if alpha_k(g, d, k) == value:
+            if _level(g, d, k, lower) == value:
                 return value, k
-        raise CapExceeded(k_cap, "finite alpha stabilisation")
-    if not is_lower_bounded_finite(g.target.dual()).ok:
-        raise NotLowerBounded("dual target fails the lower-boundedness test")
-    k = _alpha_fixpoint(g, k_cap)
+        raise CapExceeded(k_cap, f"finite {name} stabilisation")
+    if not is_lower_bounded_finite(g._side(lower)).ok:
+        raise NotLowerBounded(
+            f"{'' if lower else 'dual '}target fails the lower-boundedness test"
+        )
+    k = _fixpoint(g, k_cap, lower=lower)
     if k is None:
-        raise CapExceeded(k_cap, "alpha stabilisation")
-    return g._alpha_tables[k][d], k
-
-
-def _alpha_fixpoint(g: Hom, k_cap: int) -> int | None:
-    for k in range(k_cap):
-        _free_tables(g, k + 1)
-        cur, nxt = g._alpha_tables[k], g._alpha_tables[k + 1]
-        if all(cur[d] is nxt[d] for d in g.target.elements):
-            return k
-    return None
+        raise CapExceeded(k_cap, f"{name} stabilisation")
+    return g._tables[lower][k][d], k
 
 
 @dataclass(frozen=True)
@@ -379,11 +372,12 @@ def is_lower_bounded_hom(g: Hom, k_cap: int = 64) -> HomBoundednessReport:
     if not g.free_source:
         return HomBoundednessReport(True, True, True, 0)
     if is_lower_bounded_finite(g.target).ok:
-        k = _beta_fixpoint(g, k_cap)
+        k = _fixpoint(g, k_cap)
         if k is None:
             raise CapExceeded(k_cap, "beta stabilisation")
         for p in g.target.generators:
-            assert g.apply(g._beta_tables[k][p]) == p
+            if g.apply(g._tables[True][k][p]) != p:
+                raise NotLowerBounded(f"stable beta value of {p!r} maps elsewhere")
         return HomBoundednessReport(True, True, True, k)
     return HomBoundednessReport(False, False, False, None)
 
@@ -488,30 +482,17 @@ def fiber_generating_set(g: Hom, h: Hom) -> PairSet:
             f"target fails the interpolation condition, witness {dean.witness}"
         )
 
-    def beta(f: Hom, d: str) -> str:
-        src: FiniteLattice = f.source  # type: ignore[assignment]
-        return src.meet_set(f.preimage(d))
-
-    def alpha(f: Hom, d: str) -> str:
-        src: FiniteLattice = f.source  # type: ignore[assignment]
-        return src.join_set(f.preimage(d))
-
     X = set(A.generators)
     Y = set(B.generators)
     while True:
-        E = sorted(
-            {g.apply(x) for x in X}
-            | {h.apply(y) for y in Y}
-            | set(g.target.generators)
-        )
-        pairs: set[tuple[str, str]] = set()
-        for x in sorted(X):
-            pairs.add((x, alpha(h, g.apply(x))))
-        for y in sorted(Y):
-            pairs.add((beta(g, h.apply(y)), y))
-        for d in E:
-            pairs.add((alpha(g, d), beta(h, d)))
-            pairs.add((beta(g, d), alpha(h, d)))
+        E = {g.apply(x) for x in X} | {h.apply(y) for y in Y} | set(g.target.generators)
+        pairs = {(x, _preimage_bound(h, g.apply(x), False)) for x in X}
+        pairs |= {(_preimage_bound(g, h.apply(y), True), y) for y in Y}
+        pairs |= {
+            (_preimage_bound(g, d, not lower), _preimage_bound(h, d, lower))
+            for d in E
+            for lower in (True, False)
+        }
         nx = X | {a for a, _ in pairs}
         ny = Y | {b for _, b in pairs}
         if nx == X and ny == Y:
@@ -546,17 +527,12 @@ def uniform_beta_bound(pairs: Iterable[Sequence[Term]], g: Hom, h: Hom, cap: int
         if h.apply(b) != d:
             raise ValueError(f"pair is not in the fiber product: {(a, b)}")
         for m in range(cap + 1):
-            if _leq(_as_term(beta_k(h, d, m)), b):
+            if _leq(_free_tables(h, m, True)[d], b):
                 best = max(best, m)
                 break
         else:
             raise CapExceeded(cap, "uniform beta bound")
     return best
-
-
-def _as_term(x: Term | str) -> Term:
-    assert isinstance(x, Term)
-    return x
 
 
 @dataclass(frozen=True)
@@ -616,9 +592,9 @@ def non_generation_witness(
     windows = sorted({w for w in (2, 4, 8) if w < depth_cap} | {depth_cap})
     for window in windows:
         for d, k, a in anchors:
-            base = _as_term(beta_k(h, d, k + n_bound))
+            base = _free_tables(h, k + n_bound, True)[d]
             for m in range(k + n_bound + 1, k + n_bound + 1 + window):
-                b = _as_term(beta_k(h, d, m))
+                b = _free_tables(h, m, True)[d]
                 if term_size(b) > 50000:
                     break  # runaway growth without reaching a preimage of d
                 if b is base or _leq(base, b):
@@ -645,8 +621,7 @@ def verify_non_generation(
     zs = list(pairs)
     if zs and cert.n_bound < uniform_beta_bound(zs, g, h):
         return False
-    bound = _as_term(beta_k(h, cert.d, cert.k + cert.n_bound))
-    if not (_leq(bound, _as_term(_canon(cert.bound_term))) and _leq(_as_term(_canon(cert.bound_term)), bound)):
-        return False
+    # canonical forms are unique per element and interned
+    bound = _free_tables(h, cert.k + cert.n_bound, True)[cert.d]
     b = _canon(cert.b)
-    return _leq(b, bound) and not _leq(bound, b)
+    return _canon(cert.bound_term) is bound and _leq(b, bound) and not _leq(bound, b)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from .errors import NotALattice
 from .order import FiniteLattice, FinitePoset, build_lattice, closure
 
 __all__ = [
@@ -168,7 +169,7 @@ def join(u: Point, v: Point) -> Point:
     ubs = _upper_bounds_within(u, v, cap)
     mins = [w for w in ubs if not any(x != w and leq(x, w) for x in ubs)]
     if len(mins) != 1:
-        raise AssertionError(f"join of {u} and {v} is not unique: {mins}")
+        raise NotALattice(str(u), str(v), "join")
     return mins[0]
 
 
@@ -178,7 +179,7 @@ def meet(u: Point, v: Point) -> Point:
     lbs = [w for w in _elements_up_to(cap) if leq(w, u) and leq(w, v)]
     maxs = [w for w in lbs if not any(x != w and leq(w, x) for x in lbs)]
     if len(maxs) != 1:
-        raise AssertionError(f"meet of {u} and {v} is not unique: {maxs}")
+        raise NotALattice(str(u), str(v), "meet")
     return maxs[0]
 
 

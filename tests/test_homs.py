@@ -5,6 +5,8 @@ import pytest
 
 from helpers import congruence_quotient, random_lattice, random_onto_hom, random_term
 from latkit.errors import (
+    CapExceeded,
+    LatkitError,
     NotAHomomorphism,
     NotLowerBounded,
     NotSurjective,
@@ -13,7 +15,15 @@ from latkit.errors import (
     UnknownElement,
     UnknownGenerator,
 )
-from latkit.free import FreeLattice, StageIndex, eq_free, in_stage, leq_free, stage_elements
+from latkit.free import (
+    FreeLattice,
+    StageIndex,
+    _canon,
+    eq_free,
+    in_stage,
+    leq_free,
+    stage_elements,
+)
 from latkit.homs import (
     Hom,
     alpha_k,
@@ -31,7 +41,13 @@ from latkit.homs import (
     uniform_beta_bound,
     verify_non_generation,
 )
-from latkit.order import chain, evaluate_term, minimal_generating_set
+from latkit.order import (
+    _antichains,
+    chain,
+    evaluate_term,
+    is_lower_bounded_finite,
+    minimal_generating_set,
+)
 from latkit.terms import Term, gen, join_of, meet_of, parse
 
 
@@ -552,6 +568,99 @@ def test_recursion_matches_enumeration_three_generators(m3, square, n5):
         for k in range(2):
             for d in g.target.elements:
                 assert eq_free(ctx, beta_k(g, d, k), _direct_beta(g, d, k)), (d, k)
+
+
+def _oracle_tables(g: Hom, k: int) -> list[tuple[dict, dict]]:
+    """Levels 0..k of the beta and alpha tables by the two-sided recursion:
+    both sides filled together in the target itself, every antichain of
+    the target scanned afresh at every level."""
+    ctx: FreeLattice = g.source
+    D = g.target
+    beta0, alpha0 = {}, {}
+    for d in D.elements:
+        over = [gen(x) for x in ctx.names if D.leq(d, g.images[x])]
+        beta0[d] = _canon(meet_of(over) if over else ctx.top_term)
+        under = [gen(x) for x in ctx.names if D.leq(g.images[x], d)]
+        alpha0[d] = _canon(join_of(under) if under else ctx.bottom_term)
+    levels = [(beta0, alpha0)]
+    while len(levels) <= k:
+        prev_b, prev_a = levels[-1]
+        nxt_b, nxt_a = {}, {}
+        for d in D.elements:
+            meetands = [prev_b[d]]
+            joinands = [prev_a[d]]
+            for E in _antichains(D):
+                if D.leq(d, D.join_set(E)) and not any(D.leq(d, e) for e in E):
+                    inner = [prev_b[e] for e in E]
+                    meetands.append(
+                        join_of(inner) if len(inner) > 1 else
+                        (inner[0] if inner else ctx.bottom_term)
+                    )
+                if D.leq(D.meet_set(E), d) and not any(D.leq(e, d) for e in E):
+                    inner = [prev_a[e] for e in E]
+                    joinands.append(
+                        meet_of(inner) if len(inner) > 1 else
+                        (inner[0] if inner else ctx.top_term)
+                    )
+            nxt_b[d] = _canon(meet_of(meetands) if len(meetands) > 1 else meetands[0])
+            nxt_a[d] = _canon(join_of(joinands) if len(joinands) > 1 else joinands[0])
+        levels.append((nxt_b, nxt_a))
+    return levels
+
+
+def _oracle_stable(g: Hom, d: str, side: int, k_cap: int):
+    """Stable value and level of one side (0 beta, 1 alpha) from the
+    two-sided oracle, raising what the stabilisation is documented to."""
+    name = ("beta", "alpha")[side]
+    if not g.surjective:
+        raise NotSurjective("stabilised preimages need an epimorphism")
+    if not is_lower_bounded_finite(g.target.dual() if side else g.target).ok:
+        raise NotLowerBounded(("", "dual ")[side] + "target fails the lower-boundedness test")
+    levels = _oracle_tables(g, k_cap)
+    for k in range(k_cap):
+        if all(levels[k][side][e] is levels[k + 1][side][e] for e in g.target.elements):
+            return levels[k][side][d], k
+    raise CapExceeded(k_cap, f"{name} stabilisation")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except LatkitError as exc:
+        return type(exc), str(exc)
+
+
+def test_one_sided_tables_match_two_sided_oracle():
+    # twelve random targets and their duals, so that targets failing the
+    # test on one side only come in both orientations
+    rng = random.Random(708)
+    verdicts = set()
+    for trial in range(12):
+        L = random_lattice(rng, ground=4, min_size=3, max_size=7)
+        extra = rng.random() < 0.5
+        for D in (L, L.dual()):
+            gens = list(minimal_generating_set(D))
+            if extra:
+                gens.append(rng.choice(D.elements))
+            names = [f"x{i}" for i in range(len(gens))]
+            images = dict(zip(names, gens))
+            oracle = _oracle_tables(Hom(FreeLattice(names), D, images), 3)
+            # fill one side first, then the other, in both orders
+            g = Hom(FreeLattice(names), D, images)
+            maps = (beta_k, alpha_k) if trial % 2 else (alpha_k, beta_k)
+            for level_map in maps:
+                side = 0 if level_map is beta_k else 1
+                for k in range(4):
+                    for d in D.elements:
+                        assert level_map(g, d, k) is oracle[k][side][d], (trial, d, k, side)
+            for d in D.elements:
+                for side, stable in enumerate((beta_stable, alpha_stable)):
+                    fresh = Hom(FreeLattice(names), D, images)
+                    expect = _outcome(_oracle_stable, fresh, d, side, 8)
+                    got = _outcome(stable, g, d, 8)
+                    assert got[0] is expect[0] and got[1] == expect[1], (trial, d, side)
+            verdicts.add((is_lower_bounded_finite(D).ok, is_lower_bounded_finite(D.dual()).ok))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_recursion_level_two_sampled_leastness(m3):

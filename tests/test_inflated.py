@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from latkit import inflated as inf
+from latkit.errors import NotALattice
 from latkit.order import check_whitman, is_lower_bounded_finite, join_irreducibles
 
 
@@ -83,6 +84,24 @@ def test_operations_are_bounds_within_truncation():
                 assert inf.leq(j, w)
             if inf.leq(w, u) and inf.leq(w, v):
                 assert inf.leq(w, m)
+
+
+def test_non_unique_bounds_raise_not_a_lattice(monkeypatch):
+    # a broken order with two minimal upper (maximal lower) bounds must be
+    # reported as a missing join (meet), bypassing the operation caches
+    u, v = inf.a_el(1, 0), inf.a_el(2, 0)
+    w1, w2 = inf.b_el(1, 0), inf.b_el(2, 0)
+    monkeypatch.setattr(inf, "leq", lambda x, y: x == y or (x in (u, v) and y in (w1, w2)))
+    with pytest.raises(NotALattice) as err:
+        inf.join.__wrapped__(u, v)
+    assert (err.value.pair, err.value.which) == ((str(u), str(v)), "join")
+    monkeypatch.setattr(inf, "leq", lambda x, y: x == y or (x in (w1, w2) and y in (u, v)))
+    with pytest.raises(NotALattice) as err:
+        inf.meet.__wrapped__(u, v)
+    assert (err.value.pair, err.value.which) == ((str(u), str(v)), "meet")
+    monkeypatch.undo()
+    assert inf.join.__wrapped__(u, v) == inf.join(u, v)
+    assert inf.meet.__wrapped__(u, v) == inf.meet(u, v)
 
 
 def test_collapse_examples():
