@@ -338,6 +338,8 @@ def _cmd_hom(args) -> int:
         fn_k = beta_k if args.action == "beta" else alpha_k
         fn_stable = beta_stable if args.action == "beta" else alpha_stable
         if args.k is not None:
+            if args.k < 0:
+                raise SystemExit(_usage_error("--k must be non-negative"))
             value = fn_k(g, args.element, args.k)
             level = args.k
         else:
@@ -466,6 +468,9 @@ def _cmd_fixture(args) -> int:
     }
     if args.verify not in checks:
         raise SystemExit(_usage_error("--verify must be generators, kernel or unbounded"))
+    least = 0 if args.verify == "unbounded" else 2
+    if args.depth < least:
+        raise SystemExit(_usage_error(f"--depth must be at least {least} for {args.verify}"))
     verdict = checks[args.verify]()
     doc = {
         "kind": f"fixture-{args.verify}",

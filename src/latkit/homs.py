@@ -89,6 +89,7 @@ class Hom:
         "_stages",
         "_dual",
         "_tables",
+        "_bounded",
         "_covers",
     )
 
@@ -113,9 +114,10 @@ class Hom:
         self.images = {k: images[k] for k in sorted(images)}
         self._stages: list[tuple[frozenset[str], frozenset[str]]] = []
         self._dual: FiniteLattice | None = None
-        # free-source preimage tables and join covers, indexed by ``lower``:
-        # [0] is the alpha side, [1] the beta side
+        # free-source preimage tables, cycle-test verdicts and join covers,
+        # indexed by ``lower``: [0] is the alpha side, [1] the beta side
         self._tables: tuple[list[dict[str, Term]], ...] = ([], [])
+        self._bounded: list[bool | None] = [None, None]
         self._covers: list[dict[str, list[tuple[str, ...]]]] = [{}, {}]
         if isinstance(source, FiniteLattice):
             self._map = self._extend_finite()
@@ -200,6 +202,13 @@ class Hom:
         if self._dual is None:
             self._dual = self.target.dual()
         return self._dual
+
+    def _side_bounded(self, lower: bool) -> bool:
+        """Whether :meth:`_side` passes the cycle test, run once per side."""
+        ok = self._bounded[lower]
+        if ok is None:
+            ok = self._bounded[lower] = is_lower_bounded_finite(self._side(lower)).ok
+        return ok
 
     def __repr__(self) -> str:
         kind = "free" if self.free_source else "finite"
@@ -333,7 +342,7 @@ def _stable(g: Hom, d: str, k_cap: int, lower: bool) -> tuple[Term | str, int]:
             if _level(g, d, k, lower) == value:
                 return value, k
         raise CapExceeded(k_cap, f"finite {name} stabilisation")
-    if not is_lower_bounded_finite(g._side(lower)).ok:
+    if not g._side_bounded(lower):
         raise NotLowerBounded(
             f"{'' if lower else 'dual '}target fails the lower-boundedness test"
         )
@@ -371,7 +380,7 @@ def is_lower_bounded_hom(g: Hom, k_cap: int = 64) -> HomBoundednessReport:
         )
     if not g.free_source:
         return HomBoundednessReport(True, True, True, 0)
-    if is_lower_bounded_finite(g.target).ok:
+    if g._side_bounded(True):
         k = _fixpoint(g, k_cap)
         if k is None:
             raise CapExceeded(k_cap, "beta stabilisation")
@@ -571,7 +580,7 @@ def non_generation_witness(
     _require_same_target(g, h)
     if not (g.surjective and h.surjective):
         raise NotSurjective("witness construction needs epimorphisms")
-    if is_lower_bounded_finite(g.target).ok:
+    if g._side_bounded(True):
         raise TargetLowerBounded("target passes the lower-boundedness test")
     zs = list(pairs)
     n_bound = uniform_beta_bound(zs, g, h) if zs else 0

@@ -33,7 +33,7 @@ index, never the full infinite statements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -60,25 +60,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Point:
+class Point(namedtuple("Point", "kind i j", defaults=(0, 0))):
     """Element of the inflated lattice.  ``kind`` is ``"0"``, ``"1"``,
     ``"a"`` or ``"b"``; chains carry a spoke ``i`` in 1..7 and a height
-    ``j >= 0``."""
+    ``j >= 0``.  A plain tuple underneath, so hashing and comparison run in
+    C."""
 
-    kind: str
-    i: int = 0
-    j: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind in ("0", "1"):
-            if self.i or self.j:
+    def __new__(cls, kind: str, i: int = 0, j: int = 0):
+        if kind in ("0", "1"):
+            if i or j:
                 raise ValueError("bounds carry no indices")
-        elif self.kind in ("a", "b"):
-            if not 1 <= self.i <= 7 or self.j < 0:
-                raise ValueError(f"bad chain index ({self.i}, {self.j})")
+        elif kind in ("a", "b"):
+            if not 1 <= i <= 7 or j < 0:
+                raise ValueError(f"bad chain index ({i}, {j})")
         else:
-            raise ValueError(f"bad kind {self.kind!r}")
+            raise ValueError(f"bad kind {kind!r}")
+        return super().__new__(cls, kind, i, j)
 
     def __str__(self) -> str:
         if self.kind in ("0", "1"):

@@ -26,7 +26,8 @@ Pairs are then decided, for terms ``s`` and ``t``, by:
 
 Splits run on an explicit stack, so deep terms need no deep recursion, and
 split pairs are cached on the partial lattice (truth of a pair never
-depends on which query introduced it).
+depends on which query introduced it).  The ideal walk is also the name
+check: it raises :class:`UnknownGenerator` at an unknown generator.
 
 The module also hosts the alternating closure stages of the generated
 lattice, the standard homomorphism onto a stage, and the boundedness
@@ -42,7 +43,7 @@ import warnings
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-from operator import and_
+from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -71,10 +72,10 @@ from .terms import (
     Meet,
     Term,
     gen,
-    generators,
     join_of,
     meet_of,
     sort_key,
+    subterms,
     term_size,
     term_to_text,
 )
@@ -171,9 +172,7 @@ class PartialLattice:
         return self.poset.elements
 
     def check_term(self, t: Term) -> None:
-        extra = generators(t) - self._bit.keys()
-        if extra:
-            raise UnknownGenerator(f"unknown generators: {sorted(extra)}")
+        self._mask(t, self._ideal, Join, self._join_rules)
 
     def dual(self) -> "PartialLattice":
         return PartialLattice(self.poset.dual(), self.meets, self.joins)
@@ -223,24 +222,26 @@ class PartialLattice:
         subterms still missing from ``table`` on an explicit stack.  A
         ``closing`` node (join for ideals, meet for filters) takes the union
         of its children's masks closed under ``rules``; the other kind takes
-        the intersection."""
+        the intersection.  A generator missing from ``table`` is unknown."""
         m = table.get(t)
         if m is not None:
             return m
+        if type(t) is Gen:
+            raise self._unknown(t)
         stack = [(t, iter(t.children))]
         while stack:
             u, pending = stack[-1]
             for c in pending:
                 if c not in table:
+                    if type(c) is Gen:
+                        raise self._unknown(t)
                     stack.append((c, iter(c.children)))
                     break
             else:
                 stack.pop()
                 kids = [table[c] for c in u.children]
                 if isinstance(u, closing):
-                    m = 0
-                    for k in kids:
-                        m |= k
+                    m = reduce(or_, kids)
                     grown = True
                     while grown:
                         grown = False
@@ -249,11 +250,13 @@ class PartialLattice:
                                 m |= add
                                 grown = True
                 else:
-                    m = kids[0]
-                    for k in kids[1:]:
-                        m &= k
+                    m = reduce(and_, kids)
                 table[u] = m
         return m
+
+    def _unknown(self, t: Term) -> UnknownGenerator:
+        names = {u.name for u in subterms(t) if type(u) is Gen} - self._bit.keys()
+        return UnknownGenerator(f"unknown generators: {sorted(names)}")
 
     def _settle(self, s: Term, t: Term) -> bool | None:
         """Answer ``s <= t`` without splitting, or ``None`` when a split is
@@ -345,9 +348,7 @@ def leq_fp(P: PartialLattice, s: Term, t: Term) -> bool:
 
 
 def eq_fp(P: PartialLattice, s: Term, t: Term) -> bool:
-    P.check_term(s)
-    P.check_term(t)
-    return P._leq(s, t) and P._leq(t, s)
+    return leq_fp(P, s, t) and P._leq(t, s)
 
 
 def partial_whitman_check(P: PartialLattice) -> ConditionReport:

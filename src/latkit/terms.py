@@ -11,7 +11,8 @@ the others, and so on) lives in :mod:`latkit.free`.
 Terms are interned: structurally equal terms are the same object, so
 equality and hashing are by identity and dictionaries keyed on term pairs
 are fast.  Build terms only through :func:`gen`, :func:`meet_of` and
-:func:`join_of`; a directly constructed node is not interned.
+:func:`join_of`; a directly constructed node is not interned.  Per-node
+state is the shape plus two memos, the sort key ``_key`` and size ``_size``.
 
 Grammar for the wire format::
 
@@ -51,7 +52,7 @@ _RESERVED = frozenset("&|()")
 class Term:
     """Base class of :class:`Gen`, :class:`Meet` and :class:`Join`."""
 
-    __slots__ = ("_key", "_gens", "_size")
+    __slots__ = ("_key", "_size")
 
     def __lt__(self, other: "Term") -> bool:
         # Structural order, not the lattice order.
@@ -67,7 +68,6 @@ class Gen(Term):
     def __init__(self, name: str):
         self.name = name
         self._key = None
-        self._gens = frozenset((name,))
         self._size = 1
 
 
@@ -77,7 +77,6 @@ class _Compound(Term):
     def __init__(self, children: tuple[Term, ...]):
         self.children = children
         self._key = None
-        self._gens = None
         self._size = None
 
 
@@ -177,8 +176,7 @@ def _fill_slot(t: Term, slot: str, combine):
 
 def generators(t: Term) -> frozenset[str]:
     """The set of generator names occurring in ``t``."""
-    g = t._gens
-    return g if g is not None else _fill_slot(t, "_gens", lambda gs: frozenset().union(*gs))
+    return frozenset(u.name for u in subterms(t) if isinstance(u, Gen))
 
 
 def term_size(t: Term) -> int:

@@ -367,6 +367,13 @@ SHORT_JOIN = {"elements": ["x", "y"], "covers": [], "joins": [["x"]]}
         (("fp", "leq", "{p}", "x"), {"p": ANTICHAIN3}),
         (("free", "leq", "--gens", "x,y", "x"), {}),
         (("free", "rank", "--gens", "x,y", "x", "y"), {}),
+        (("hom", "beta", "free:x,y", "{sq}", "--images", "x=a,y=b", "--element", "0",
+          "--k", "-1"), {"sq": SQUARE}),
+        (("hom", "alpha", "free:x,y", "{sq}", "--images", "x=a,y=b", "--element", "0",
+          "--k", "-1"), {"sq": SQUARE}),
+        (("fixture", "M", "--depth", "1", "--verify", "generators"), {}),
+        (("fixture", "M", "--depth", "1", "--verify", "kernel"), {}),
+        (("fixture", "M", "--depth", "-3", "--verify", "unbounded"), {}),
     ],
     ids=[
         "fp-no-covers",
@@ -380,6 +387,11 @@ SHORT_JOIN = {"elements": ["x", "y"], "covers": [], "joins": [["x"]]}
         "fp-leq-one-term",
         "free-leq-one-term",
         "free-rank-two-terms",
+        "hom-beta-negative-k",
+        "hom-alpha-negative-k",
+        "fixture-generators-depth-1",
+        "fixture-kernel-depth-1",
+        "fixture-unbounded-negative-depth",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, argv, files):

@@ -51,6 +51,22 @@ def test_unknown_generator():
         leq_free(X2, parse("w"), parse("x"))
 
 
+@pytest.mark.parametrize("text, names", [
+    ("(x & (y | w))", "['w']"),
+    ("((v | x) & (y | w))", "['v', 'w']"),
+])
+def test_nested_unknown_generators(text, names):
+    t, x = parse(text), parse("x")
+    for call in (
+        lambda: leq_free(X3, t, x),
+        lambda: leq_free(X3, x, t),
+        lambda: canonical_form(X3, t),
+    ):
+        with pytest.raises(UnknownGenerator) as err:
+            call()
+        assert str(err.value) == f"unknown generators: {names}"
+
+
 def test_eq_by_commutativity():
     assert eq_free(X2, parse("(x & y)"), parse("(y & x)"))
 

@@ -117,6 +117,27 @@ def test_leq_fp_unknown_generator():
         leq_fp(antichain(["x"]), parse("w"), parse("x"))
 
 
+@pytest.mark.parametrize("text, names", [
+    ("(x & (y | w))", "['w']"),
+    ("((v | x) & (y | w))", "['v', 'w']"),
+])
+def test_nested_unknown_generators(text, names):
+    P = antichain(["x", "y", "z"])
+    stage = closure_stage(P, 0)
+    t, x = parse(text), parse("x")
+    for call in (
+        lambda: leq_fp(P, t, x),
+        lambda: leq_fp(P, x, t),
+        lambda: eq_fp(P, t, x),
+        lambda: eq_fp(P, x, t),
+        lambda: stage.index_of_equivalent(t),
+        lambda: standard_hom_image(P, stage, t),
+    ):
+        with pytest.raises(UnknownGenerator) as err:
+            call()
+        assert str(err.value) == f"unknown generators: {names}"
+
+
 def test_antichain_matches_free_lattice():
     P = antichain(["x", "y", "z"])
     ctx = FreeLattice(["x", "y", "z"])
