@@ -1,10 +1,12 @@
 """Word problem and canonical forms in the free lattice on a finite set.
 
-``leq_free`` decides order between terms by the classic recursion: joins on
-the left and meets on the right decompose conjunctively, a meet against a
-join splits disjunctively, and generators are join and meet prime.  The
-recursion is memoised globally; order between two terms does not depend on
-the ambient generating set, so the cache is shared by every context.
+``leq_free`` decides order between terms on the Whitman split machine
+shared with :mod:`latkit.partial_lattice`: joins on the left and meets on
+the right decompose conjunctively, a meet against a join splits
+disjunctively, and generators are join and meet prime.  The machine runs on
+an explicit stack, so deep terms need no deep recursion.  Only split pairs
+are memoised, in ``_LEQ``; order between two terms does not depend on the
+ambient generating set, so the cache is shared by every context.
 
 ``canonical_form`` computes the shortest equivalent term.  For a join the
 normal form has flattened, sorted, pairwise incomparable children, and no
@@ -94,26 +96,65 @@ class FreeLattice:
 _LEQ: dict[tuple[Term, Term], bool] = {}
 
 
+def _settle(s: Term, t: Term) -> bool | None:
+    """Answer ``s <= t`` without splitting (identity, two generators, or a
+    split pair already in ``_LEQ``), or ``None`` when a split is needed."""
+    if s is t:
+        return True
+    if type(s) is Gen and type(t) is Gen:
+        return s.name == t.name
+    return _LEQ.get((s, t))
+
+
 def _leq(s: Term, t: Term) -> bool:
-    key = (s, t)
-    hit = _LEQ.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(s, Join):
-        r = all(_leq(c, t) for c in s.children)
-    elif isinstance(t, Meet):
-        r = all(_leq(s, c) for c in t.children)
-    elif isinstance(s, Gen):
-        if isinstance(t, Gen):
-            r = s is t or s.name == t.name
-        else:  # t is a join; generators are join prime
-            r = any(_leq(s, c) for c in t.children)
-    elif isinstance(t, Gen):  # s is a meet; generators are meet prime
-        r = any(_leq(c, t) for c in s.children)
-    else:  # meet against join: the (W) split
-        r = any(_leq(c, t) for c in s.children) or any(_leq(s, c) for c in t.children)
-    _LEQ[key] = r
-    return r
+    return _whitman(s, t, _settle, _LEQ)
+
+
+def _whitman(s: Term, t: Term, settle, cache: dict) -> bool:
+    """Decide ``s <= t`` by the Whitman splits on an explicit stack, asking
+    ``settle`` first for every pair.  A frame is conjunctive (a join on the
+    left or a meet on the right: every part must hold) or disjunctive
+    (some part must hold); its first deciding part ends it, and exhausting
+    its parts gives ``conj``.  Split pairs are memoised in ``cache``."""
+    found = settle(s, t)
+    if found is not None:
+        return found
+    stack = [_split(s, t)]
+    found = None  # the answer of the frame last popped, for its parent
+    while True:
+        key, conj, parts = stack[-1]
+        if found is None or found is conj:
+            found = conj
+            for a, b in parts:
+                r = settle(a, b)
+                if r is None:
+                    stack.append(_split(a, b))
+                    found = None
+                    break
+                if r is not conj:
+                    found = r
+                    break
+            if found is None:
+                continue
+        stack.pop()
+        cache[key] = found
+        if not stack:
+            return found
+
+
+def _split(s: Term, t: Term):
+    """The stack frame of a pair that ``settle`` left open: its key, whether
+    it is conjunctive, and its parts.  Generators are join and meet prime,
+    so a generator splits only the compound side, disjunctively."""
+    if type(s) is Join:
+        return (s, t), True, ((c, t) for c in s.children)
+    if type(t) is Meet:
+        return (s, t), True, ((s, c) for c in t.children)
+    if type(s) is Gen:
+        return (s, t), False, ((s, c) for c in t.children)
+    if type(t) is Gen:
+        return (s, t), False, ((c, t) for c in s.children)
+    return (s, t), False, chain(((c, t) for c in s.children), ((s, c) for c in t.children))
 
 
 def leq_free(ctx: FreeLattice, s: Term, t: Term) -> bool:
@@ -125,9 +166,7 @@ def leq_free(ctx: FreeLattice, s: Term, t: Term) -> bool:
 
 def eq_free(ctx: FreeLattice, s: Term, t: Term) -> bool:
     """Two-sided :func:`leq_free`."""
-    ctx.check_term(s)
-    ctx.check_term(t)
-    return _leq(s, t) and _leq(t, s)
+    return leq_free(ctx, s, t) and _leq(t, s)
 
 
 _CANON: dict[Term, Term] = {}

@@ -258,6 +258,8 @@ def check_kernel_finitely_generated(j_max: int, cap: int = 400000) -> bool:
 def check_collapse_unbounded(j_max: int) -> bool:
     """Every kernel class contains, for each height up to ``j_max``, a
     strictly larger member, so no class has a greatest element."""
+    if j_max < 0:
+        raise ValueError("need j_max >= 0")
     for i in range(1, 8):
         for j in range(j_max + 1):
             for mk in (a_el, b_el):

@@ -24,10 +24,11 @@ Pairs are then decided, for terms ``s`` and ``t``, by:
   some joinand, or the filter of the meet meets the ideal of the join
   (some generator interpolates).
 
-Splits run on an explicit stack, so deep terms need no deep recursion, and
-split pairs are cached on the partial lattice (truth of a pair never
-depends on which query introduced it).  The ideal walk is also the name
-check: it raises :class:`UnknownGenerator` at an unknown generator.
+Splits run on the Whitman split machine shared with :mod:`latkit.free`, on
+an explicit stack, and split pairs are cached on the partial lattice (truth
+of a pair never depends on which query introduced it).  The ideal walk is
+also the name check: it raises :class:`UnknownGenerator` at an unknown
+generator.
 
 The module also hosts the alternating closure stages of the generated
 lattice, the standard homomorphism onto a stage, and the boundedness
@@ -42,7 +43,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
@@ -53,7 +53,7 @@ from .errors import (
     UnknownGenerator,
     UnverifiedPreconditionWarning,
 )
-from .free import _canon
+from .free import _canon, _whitman
 from .order import (
     ConditionReport,
     FiniteLattice,
@@ -279,46 +279,8 @@ class PartialLattice:
         return None
 
     def _leq(self, s: Term, t: Term) -> bool:
-        """Decide ``s <= t`` by the Whitman splits on an explicit stack.  A
-        frame is conjunctive (a join on the left or a meet on the right: every
-        part must hold) or disjunctive (a meet below a join: some meetand or
-        joinand must hold); its first deciding part ends it, and exhausting
-        its parts gives ``conj``.  Split pairs are memoised in ``_cache``."""
-        found = self._settle(s, t)
-        if found is not None:
-            return found
-        cache = self._cache
-        stack = [_split(s, t)]
-        found = None  # the answer of the frame last popped, for its parent
-        while True:
-            key, conj, parts = stack[-1]
-            if found is None or found is conj:
-                found = conj
-                for a, b in parts:
-                    r = self._settle(a, b)
-                    if r is None:
-                        stack.append(_split(a, b))
-                        found = None
-                        break
-                    if r is not conj:
-                        found = r
-                        break
-                if found is None:
-                    continue
-            stack.pop()
-            cache[key] = found
-            if not stack:
-                return found
-
-
-def _split(s: Term, t: Term):
-    """The stack frame of a pair that :meth:`PartialLattice._settle` left
-    open: its key, whether it is conjunctive, and its parts."""
-    if type(s) is Join:
-        return (s, t), True, ((c, t) for c in s.children)
-    if type(t) is Meet:
-        return (s, t), True, ((s, c) for c in t.children)
-    return (s, t), False, chain(((c, t) for c in s.children), ((s, c) for c in t.children))
+        """Decide ``s <= t`` on the shared split machine."""
+        return _whitman(s, t, self._settle, self._cache)
 
 
 def antichain(names: Iterable[str]) -> PartialLattice:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from latkit.order import FiniteLattice, FinitePoset, build_lattice
 from latkit.homs import Hom
-from latkit.terms import Join, Meet, Term, gen, join_of, meet_of, sort_key
+from latkit.terms import Gen, Join, Meet, Term, gen, join_of, meet_of, sort_key
 
 
 def covers_from_leq(elements, leq) -> list[tuple[str, str]]:
@@ -154,6 +154,35 @@ def random_term(rng: random.Random, names, max_depth: int) -> Term:
     width = rng.randint(2, 3)
     kids = [random_term(rng, names, max_depth - 1) for _ in range(width)]
     return meet_of(kids) if rng.random() < 0.5 else join_of(kids)
+
+
+_ORACLE_LEQ: dict[tuple[Term, Term], bool] = {}
+
+
+def oracle_leq_free(s: Term, t: Term) -> bool:
+    """Whitman's recursion for ``s <= t`` in a free lattice, written
+    directly (it recurses once per term level), with its own memo."""
+    key = (s, t)
+    hit = _ORACLE_LEQ.get(key)
+    if hit is not None:
+        return hit
+    if isinstance(s, Join):
+        r = all(oracle_leq_free(c, t) for c in s.children)
+    elif isinstance(t, Meet):
+        r = all(oracle_leq_free(s, c) for c in t.children)
+    elif isinstance(s, Gen):
+        if isinstance(t, Gen):
+            r = s.name == t.name
+        else:  # t is a join; generators are join prime
+            r = any(oracle_leq_free(s, c) for c in t.children)
+    elif isinstance(t, Gen):  # s is a meet; generators are meet prime
+        r = any(oracle_leq_free(c, t) for c in s.children)
+    else:  # meet against join: the (W) split
+        r = any(oracle_leq_free(c, t) for c in s.children) or any(
+            oracle_leq_free(s, c) for c in t.children
+        )
+    _ORACLE_LEQ[key] = r
+    return r
 
 
 def brute_glb(L: FiniteLattice, a: str, b: str) -> str | None:

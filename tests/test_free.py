@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_lattice, random_term
+from helpers import oracle_leq_free, random_lattice, random_term
 from latkit.errors import CapExceeded, UnknownGenerator
 from latkit.free import (
     FreeLattice,
@@ -16,6 +16,7 @@ from latkit.free import (
     stage_elements,
 )
 from latkit.order import evaluate_term
+from latkit.partial_lattice import antichain, leq_fp
 from latkit.terms import gen, join_of, meet_of, parse, term_to_text
 
 X2 = FreeLattice(["x", "y"])
@@ -205,3 +206,47 @@ def test_stage_elements_pairwise_inequivalent():
         for i, s in enumerate(reps):
             for t in reps[i + 1 :]:
                 assert not eq_free(X3, s, t)
+
+
+@pytest.mark.parametrize("names", [["x", "y", "z"], ["w", "x", "y", "z"]])
+def test_leq_matches_recursive_oracle(names):
+    rng = random.Random(len(names))
+    ctx = FreeLattice(names)
+    gens = [gen(n) for n in names]
+    pool = [random_term(rng, names, 4) for _ in range(60)]
+    joins = [join_of([rng.choice(pool), rng.choice(pool)]) for _ in range(30)]
+    meets = [meet_of([rng.choice(pool), rng.choice(pool)]) for _ in range(30)]
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(1500)]
+    # a generator against a join and a meet against a generator, both ways
+    pairs += [(rng.choice(gens), rng.choice(joins)) for _ in range(300)]
+    pairs += [(rng.choice(meets), rng.choice(gens)) for _ in range(300)]
+    pairs += [(b, a) for a, b in pairs[-600:]]
+    verdicts = set()
+    for s, t in pairs:
+        want = oracle_leq_free(s, t)
+        assert leq_free(ctx, s, t) is want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def _alternating(leaf, names, depth):
+    """Meets and joins with a generator, alternating ``depth`` times above
+    ``leaf``; built bottom-up, since :func:`parse` recurses."""
+    t = leaf
+    for i in range(depth):
+        g = gen(names[(i + 2) % len(names)])
+        t = meet_of([g, t]) if i % 2 == 0 else join_of([g, t])
+    return t
+
+
+def test_leq_on_deep_terms_needs_no_deep_recursion():
+    names = ["w", "x", "y", "z"]
+    ctx = FreeLattice(names)
+    s, t = (_alternating(gen(n), names, 300) for n in ("w", "x"))
+    assert not leq_free(ctx, s, t) and not leq_free(ctx, t, s)
+    P = antichain(names)
+    assert not leq_fp(P, s, t) and not leq_fp(P, t, s)
+    # each step is monotone, so a larger leaf gives a larger term
+    u = _alternating(join_of([gen("w"), gen("x")]), names, 300)
+    assert leq_free(ctx, s, u) and leq_free(ctx, t, u)
+    assert not leq_free(ctx, u, s)

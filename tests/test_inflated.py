@@ -168,6 +168,12 @@ def test_classes_unbounded():
     assert inf.check_collapse_unbounded(10)
 
 
+def test_collapse_unbounded_rejects_negative_heights():
+    assert inf.check_collapse_unbounded(0)
+    with pytest.raises(ValueError):
+        inf.check_collapse_unbounded(-3)
+
+
 def test_base_lattice_is_not_lower_bounded(fig_lattice):
     assert not is_lower_bounded_finite(fig_lattice).ok
     assert not check_whitman(fig_lattice).ok
