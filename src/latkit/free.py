@@ -1,12 +1,11 @@
 """Word problem and canonical forms in the free lattice on a finite set.
 
-``leq_free`` decides order between terms on the Whitman split machine
-shared with :mod:`latkit.partial_lattice`: joins on the left and meets on
-the right decompose conjunctively, a meet against a join splits
-disjunctively, and generators are join and meet prime.  The machine runs on
-an explicit stack, so deep terms need no deep recursion.  Only split pairs
-are memoised, in ``_LEQ``; order between two terms does not depend on the
-ambient generating set, so the cache is shared by every context.
+``leq_free`` decides order between terms on the explicit-stack Whitman
+split machine shared with :mod:`latkit.partial_lattice`: joins on the left
+and meets on the right decompose conjunctively, a meet against a join splits
+disjunctively, and generators are join and meet prime.  Only split pairs are
+memoised, in ``_LEQ``, shared by every context: order between two terms does
+not depend on the ambient generating set.
 
 ``canonical_form`` computes the shortest equivalent term.  For a join the
 normal form has flattened, sorted, pairwise incomparable children, and no
@@ -99,11 +98,9 @@ _LEQ: dict[tuple[Term, Term], bool] = {}
 def _settle(s: Term, t: Term) -> bool | None:
     """Answer ``s <= t`` without splitting (identity, two generators, or a
     split pair already in ``_LEQ``), or ``None`` when a split is needed."""
-    if s is t:
-        return True
     if type(s) is Gen and type(t) is Gen:
         return s.name == t.name
-    return _LEQ.get((s, t))
+    return True if s is t else _LEQ.get((s, t))
 
 
 def _leq(s: Term, t: Term) -> bool:
@@ -115,7 +112,10 @@ def _whitman(s: Term, t: Term, settle, cache: dict) -> bool:
     ``settle`` first for every pair.  A frame is conjunctive (a join on the
     left or a meet on the right: every part must hold) or disjunctive
     (some part must hold); its first deciding part ends it, and exhausting
-    its parts gives ``conj``.  Split pairs are memoised in ``cache``."""
+    its parts gives ``conj``.  Split pairs are memoised in ``cache``.
+    ``_split`` takes generators to be join and meet prime, so where they are
+    not (a finitely presented lattice) ``settle`` must answer every pair
+    with a generator on one side."""
     found = settle(s, t)
     if found is not None:
         return found
@@ -144,17 +144,14 @@ def _whitman(s: Term, t: Term, settle, cache: dict) -> bool:
 
 def _split(s: Term, t: Term):
     """The stack frame of a pair that ``settle`` left open: its key, whether
-    it is conjunctive, and its parts.  Generators are join and meet prime,
-    so a generator splits only the compound side, disjunctively."""
+    it is conjunctive, and its parts; a (prime) generator contributes none."""
     if type(s) is Join:
         return (s, t), True, ((c, t) for c in s.children)
     if type(t) is Meet:
         return (s, t), True, ((s, c) for c in t.children)
-    if type(s) is Gen:
-        return (s, t), False, ((s, c) for c in t.children)
-    if type(t) is Gen:
-        return (s, t), False, ((c, t) for c in s.children)
-    return (s, t), False, chain(((c, t) for c in s.children), ((s, c) for c in t.children))
+    left = () if type(s) is Gen else ((c, t) for c in s.children)
+    right = () if type(t) is Gen else ((s, c) for c in t.children)
+    return (s, t), False, chain(left, right)
 
 
 def leq_free(ctx: FreeLattice, s: Term, t: Term) -> bool:

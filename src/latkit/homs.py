@@ -2,10 +2,10 @@
 
 For an epimorphism ``g`` and a target element ``d``, ``beta_k(g, d, k)`` is
 the least element of the k-th meet-closure stage of the source mapping above
-``d`` (``alpha_k`` dually: the greatest stage element mapping below).  Both
-come from one target-side recursion, run on canonical terms over a free
-source and on element ids over a finite one: the level-k value is the
-previous one met with, for every antichain of target elements that joins
+``d`` (``alpha_k`` dually: the greatest stage element mapping below).  With
+a finite source the stages are enumerated directly.  With a free source the
+values are terms, computed by a target-side recursion: the level-k value is
+the previous one met with, for every antichain of target elements that joins
 above ``d`` without any member dominating ``d``, the join of the previous
 level at those members.  The recursion at one level reads only the previous
 level, so a simultaneous fixpoint over all target elements certifies
@@ -114,9 +114,9 @@ class Hom:
         self.images = {k: images[k] for k in sorted(images)}
         self._stages: list[tuple[frozenset[str], frozenset[str]]] = []
         self._dual: FiniteLattice | None = None
-        # preimage tables, cycle-test verdicts and join covers, indexed
-        # by ``lower``: [0] is the alpha side, [1] the beta side
-        self._tables: tuple[list[dict[str, Term | str]], ...] = ([], [])
+        # free-source preimage tables, cycle-test verdicts and join covers,
+        # indexed by ``lower``: [0] is the alpha side, [1] the beta side
+        self._tables: tuple[list[dict[str, Term]], ...] = ([], [])
         self._bounded: list[bool | None] = [None, None]
         self._covers: list[dict[str, list[tuple[str, ...]]]] = [{}, {}]
         if isinstance(source, FiniteLattice):
@@ -174,10 +174,12 @@ class Hom:
         self.target.poset.index(d)
         return tuple(e for e in self.source.elements if self._map[e] == d)  # type: ignore[union-attr]
 
+    # --- finite-source stage sets over the designated generators ---
+
     def _stage(self, k: int) -> tuple[frozenset[str], frozenset[str]]:
         """(G_k, H_k) of the finite source; G_0 is the generating set, each
         H is the meet closure with the empty meet (top), each next G the join
-        closure with the empty join (bottom).  Kept as the tests' reference."""
+        closure with the empty join (bottom)."""
         if k < 0:
             raise ValueError("stage must be non-negative")
         src: FiniteLattice = self.source  # type: ignore[assignment]
@@ -233,35 +235,37 @@ def beta_k(g: Hom, d: str, k: int) -> Term | str:
 
 
 def alpha_k(g: Hom, d: str, k: int) -> Term | str:
-    """Greatest element mapping <= ``d`` of stage ``K_k``: ``H_k`` with
-    meets and joins exchanged, between ``G_k`` and ``G_{k+1}``."""
+    """Greatest element of stage ``G_k`` of the source mapping <= ``d``.
+    At ``k = 0`` the join may fall outside the stage itself."""
     return _level(g, d, k, False)
 
 
 def _level(g: Hom, d: str, k: int, lower: bool) -> Term | str:
-    """``beta_k`` when ``lower``, else ``alpha_k``."""
+    """``beta_k`` when ``lower``, else ``alpha_k``: the same search read in
+    the target (``lower``) or its dual, where ``<=`` is reversed."""
     g.target.poset.index(d)
-    return _tables(g, k, lower)[d]
+    if g.free_source:
+        return _free_tables(g, k, lower)[d]
+    src: FiniteLattice = g.source  # type: ignore[assignment]
+    D = g._side(lower)
+    cands = [w for w in g._stage(k)[lower] if D.leq(d, g.apply(w))]  # H_k or G_k
+    # top is in every H_k, so the meet is never empty
+    return src.meet_set(cands) if lower else src.join_set(cands)
 
 
-def _tables(g: Hom, k: int, lower: bool) -> dict[str, Term | str]:
-    """Level ``k`` of the beta table of ``g`` (the alpha table when not
-    ``lower``), filling the levels below it.  Level 0 meets the generators
-    mapping above ``d``; each later level adds one meetand per nontrivial
-    join cover of ``d``, listed once per side.  The algebra is chosen once:
-    canonical terms over a free source, element ids over a finite one."""
+def _free_tables(g: Hom, k: int, lower: bool) -> dict[str, Term]:
+    """Level ``k`` of the term-valued beta table of a free-source hom (the
+    alpha table when not ``lower``), filling the levels below it.  Level 0
+    meets the generators mapping above ``d``; each later level adds one
+    meetand per nontrivial join cover of ``d``, listed once per side."""
     if k < 0:
         raise ValueError("stage must be non-negative")
     tables = g._tables[lower]
     if k < len(tables):
         return tables[k]
-    src = g.source
+    ctx: FreeLattice = g.source  # type: ignore[assignment]
     D = g._side(lower)
-    if g.free_source:
-        meet, join = (lambda ts: _canon(meet_of(ts))), (lambda ts: _canon(join_of(ts)))
-        top, bottom, lift = src.top_term, src.bottom_term, gen
-    else:
-        meet, join, top, bottom, lift = src.meet_set, src.join_set, src.top, src.bottom, str
+    meet, join, top, bottom = meet_of, join_of, ctx.top_term, ctx.bottom_term
     if not lower:
         meet, join, top, bottom = join, meet, bottom, top
     if not tables:
@@ -272,13 +276,13 @@ def _tables(g: Hom, k: int, lower: bool) -> dict[str, Term | str]:
             for d in D.elements
         }
         tables.append({
-            d: meet([lift(x) for x, v in g.images.items() if D.leq(d, v)] or [top])
+            d: _canon(meet([gen(x) for x in ctx.names if D.leq(d, g.images[x])] or [top]))
             for d in D.elements
         })
     while len(tables) <= k:
         prev = tables[-1]
         tables.append({
-            d: meet([prev[d]] + [join([prev[e] for e in E] or [bottom]) for E in Es])
+            d: _canon(meet([prev[d]] + [join([prev[e] for e in E] or [bottom]) for E in Es]))
             for d, Es in g._covers[lower].items()
         })
     return tables[k]
@@ -291,7 +295,7 @@ def _fixpoint(
     levels agree on every target element.  Returns the first stable level,
     or None when the cap (level or term size) is hit first."""
     for k in range(k_cap):
-        cur, nxt = _tables(g, k, lower), _tables(g, k + 1, lower)
+        cur, nxt = _free_tables(g, k, lower), _free_tables(g, k + 1, lower)
         if all(cur[d] is nxt[d] for d in g.target.elements):
             return k
         if size_cap is not None and any(
@@ -532,7 +536,7 @@ def uniform_beta_bound(pairs: Iterable[Sequence[Term]], g: Hom, h: Hom, cap: int
         if h.apply(b) != d:
             raise ValueError(f"pair is not in the fiber product: {(a, b)}")
         for m in range(cap + 1):
-            if _leq(_tables(h, m, True)[d], b):
+            if _leq(_free_tables(h, m, True)[d], b):
                 best = max(best, m)
                 break
         else:
@@ -597,9 +601,9 @@ def non_generation_witness(
     windows = sorted({w for w in (2, 4, 8) if w < depth_cap} | {depth_cap})
     for window in windows:
         for d, k, a in anchors:
-            base = _tables(h, k + n_bound, True)[d]
+            base = _free_tables(h, k + n_bound, True)[d]
             for m in range(k + n_bound + 1, k + n_bound + 1 + window):
-                b = _tables(h, m, True)[d]
+                b = _free_tables(h, m, True)[d]
                 if term_size(b) > 50000:
                     break  # runaway growth without reaching a preimage of d
                 if b is base or _leq(base, b):
@@ -627,6 +631,6 @@ def verify_non_generation(
     if zs and cert.n_bound < uniform_beta_bound(zs, g, h):
         return False
     # canonical forms are unique per element and interned
-    bound = _tables(h, cert.k + cert.n_bound, True)[cert.d]
+    bound = _free_tables(h, cert.k + cert.n_bound, True)[cert.d]
     b = _canon(cert.b)
     return _canon(cert.bound_term) is bound and _leq(b, bound) and not _leq(bound, b)

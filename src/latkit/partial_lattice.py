@@ -24,11 +24,10 @@ Pairs are then decided, for terms ``s`` and ``t``, by:
   some joinand, or the filter of the meet meets the ideal of the join
   (some generator interpolates).
 
-Splits run on the Whitman split machine shared with :mod:`latkit.free`, on
-an explicit stack, and split pairs are cached on the partial lattice (truth
-of a pair never depends on which query introduced it).  The ideal walk is
-also the name check: it raises :class:`UnknownGenerator` at an unknown
-generator.
+Splits run on the explicit-stack Whitman machine shared with
+:mod:`latkit.free`; split pairs are cached on the partial lattice (truth of
+a pair never depends on which query introduced it).  The ideal walk is also
+the name check: it raises :class:`UnknownGenerator` at an unknown generator.
 
 The module also hosts the alternating closure stages of the generated
 lattice, the standard homomorphism onto a stage, and the boundedness

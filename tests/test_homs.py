@@ -261,11 +261,10 @@ def _with_minimal_generators(g):
 
 
 def test_level_maps_match_stage_search(fig_lattice):
-    # beta_k meets the H_k members mapping above d; alpha_k joins the members
-    # of the dual stage (H_k of the dual source: joins first) mapping below
-    # d, which lies between G_k and G_{k+1}; sources generated by every
-    # element and by a minimal generating set.  Subdirect sources over the
-    # Fano lattice keep changing past level 1.
+    # beta_k meets the H_k members mapping above d and alpha_k joins the G_k
+    # members mapping below d, on sources generated by every element and by
+    # a minimal generating set.  Subdirect sources over the Fano lattice keep
+    # changing past level 1.
     rng = random.Random(71)
     quotients, subdirect = [], []
     while len(quotients) < 20:
@@ -283,20 +282,15 @@ def test_level_maps_match_stage_search(fig_lattice):
     homs = quotients + subdirect
     for g in homs + [_with_minimal_generators(g) for g in homs]:
         src, D = g.source, g.target
-        dual = Hom(src.dual(), D.dual(), g.images)
         for k in range(6):
             G, H = g._stage(k)
-            K = dual._stage(k)[1]
-            G_next = g._stage(k + 1)[0]
             for d in D.elements:
                 assert beta_k(g, d, k) == src.meet_set(
                     [w for w in H if D.leq(d, g.apply(w))]
                 )
-                a = alpha_k(g, d, k)
-                assert a == src.join_set([w for w in K if D.leq(g.apply(w), d)])
-                below = [src.join_set([w for w in S if D.leq(g.apply(w), d)])
-                         for S in (G, G_next)]
-                assert src.leq(below[0], a) and src.leq(a, below[1])
+                assert alpha_k(g, d, k) == src.join_set(
+                    [w for w in G if D.leq(g.apply(w), d)]
+                )
 
 
 # --- interpolation-hypothesis identities ---
