@@ -42,6 +42,7 @@ from .homs import (
 )
 from .order import (
     FiniteLattice,
+    _is_ids,
     check_dean,
     check_whitman,
     is_bounded_finite,
@@ -56,7 +57,7 @@ from .partial_lattice import (
     leq_fp,
     partial_whitman_check,
 )
-from .terms import Term, parse, term_to_text
+from .terms import Join, Meet, Term, fold, join_of, meet_of, parse, term_to_text
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -86,10 +87,6 @@ def _usage_error(msg: str) -> int:
 
 def _load_lattice(path: str) -> FiniteLattice:
     return FiniteLattice.from_dict(_load_json(path))
-
-
-def _load_partial(path: str) -> PartialLattice:
-    return PartialLattice.from_dict(_load_json(path))
 
 
 def _parse_images(text: str) -> dict[str, str]:
@@ -132,26 +129,15 @@ def _emit_condition(args, doc: dict, rep) -> int:
 def _cmd_lattice(args) -> int:
     data = _load_json(args.file)
     if args.action == "check":
+        doc = {"kind": "lattice-check", "input": data}
         try:
             lat = FiniteLattice.from_dict(data)
         except LatkitError as exc:
-            doc = {
-                "kind": "lattice-check",
-                "input": data,
-                "verdict": False,
-                "witness": str(exc),
-                "certificate": None,
-            }
+            doc.update(verdict=False, witness=str(exc), certificate=None)
             return _emit(args, doc, [f"not a lattice: {exc}"])
-        doc = {
-            "kind": "lattice-check",
-            "input": data,
-            "verdict": True,
-            "witness": None,
-            "certificate": {"elements": len(lat)},
-        }
+        doc.update(verdict=True, witness=None, certificate={"elements": len(lat)})
         return _emit(args, doc, [f"valid lattice with {len(lat)} elements"])
-    lat = _load_lattice(args.file)
+    lat = FiniteLattice.from_dict(data)
     if args.action == "dot":
         sys.stdout.write(lat.to_dot())
         return EXIT_YES
@@ -250,7 +236,7 @@ def _cmd_free(args) -> int:
 
 
 def _cmd_fp(args) -> int:
-    P = _load_partial(args.file)
+    P = PartialLattice.from_dict(_load_json(args.file))
     if args.action == "leq":
         _check_term_count(args, 2)
         s, t = parse(args.terms[0]), parse(args.terms[1])
@@ -304,12 +290,8 @@ def _cmd_fp(args) -> int:
 
 
 def _dual_term(t: Term) -> Term:
-    from .terms import Gen, Meet, join_of, meet_of
-
-    if isinstance(t, Gen):
-        return t
-    kids = [_dual_term(c) for c in t.children]
-    return join_of(kids) if isinstance(t, Meet) else meet_of(kids)
+    return fold(t, lambda u, kids: (
+        join_of(kids) if type(u) is Meet else meet_of(kids) if type(u) is Join else u))
 
 
 def _make_hom(args, source_spec: str, target: FiniteLattice, images: str) -> Hom:
@@ -422,7 +404,10 @@ def _cmd_witness(args) -> int:
     zpairs: list[tuple[Term, Term]] = []
     if args.zfile:
         data = _load_json(args.zfile)
-        zpairs = [(parse(a), parse(b)) for a, b in data.get("pairs", [])]
+        pairs = data.get("pairs", []) if isinstance(data, dict) else None
+        if not isinstance(pairs, list) or not all(_is_ids(p) and len(p) == 2 for p in pairs):
+            raise SystemExit(_usage_error(f'{args.zfile}: expected {{"pairs": [["s", "t"], ...]}}'))
+        zpairs = [(parse(a), parse(b)) for a, b in pairs]
     cert = non_generation_witness(g, h, zpairs)
     doc = {
         "kind": "non-generation",
@@ -540,14 +525,9 @@ def _reverify(doc: dict, kind: str) -> bool:
             target = FiniteLattice.from_dict(inp["target"])
             g = Hom(FreeLattice(inp["free_a"]), target, inp["images_g"])
             h = Hom(FreeLattice(inp["free_b"]), target, inp["images_h"])
-            cert = NonGenerationCertificate(
-                a=parse(doc["certificate"]["a"]),
-                b=parse(doc["certificate"]["b"]),
-                d=doc["certificate"]["d"],
-                k=doc["certificate"]["k"],
-                n_bound=doc["certificate"]["n_bound"],
-                bound_term=parse(doc["certificate"]["bound_term"]),
-            )
+            c = doc["certificate"]
+            cert = NonGenerationCertificate(parse(c["a"]), parse(c["b"]), c["d"], c["k"],
+                                            c["n_bound"], parse(c["bound_term"]))
             zpairs = [(parse(a), parse(b)) for a, b in inp.get("pairs", [])]
             return verify_non_generation(g, h, cert, zpairs)
     except CapExceeded:
@@ -693,7 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    sys.setrecursionlimit(20000)
     ap = build_parser()
     args = ap.parse_args(argv)
     # Warnings print as one "warning: <message>" line each, once per run.

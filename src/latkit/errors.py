@@ -15,6 +15,10 @@ class TermSyntaxError(LatkitError):
         self.position = position
 
 
+class InvalidValue(LatkitError, ValueError):
+    """An argument outside its domain, such as a bad generator name."""
+
+
 class InvalidPoset(LatkitError):
     """The cover data does not describe a poset (cycle, redundant cover,
     unknown element)."""

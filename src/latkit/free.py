@@ -7,7 +7,9 @@ disjunctively, and generators are join and meet prime.  Only split pairs are
 memoised, in ``_LEQ``, shared by every context: order between two terms does
 not depend on the ambient generating set.
 
-``canonical_form`` computes the shortest equivalent term.  For a join the
+``canonical_form`` computes the shortest equivalent term, children first,
+on :func:`latkit.terms.fold` with ``_CANON`` as the memo; like
+``alternation_rank``, it does not recurse on term depth.  For a join the
 normal form has flattened, sorted, pairwise incomparable children, and no
 compound meetand of a child lies below the whole join (dually for meets).
 Under those conditions any further redundancy of a child against the join
@@ -26,13 +28,14 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
-from .errors import UnknownGenerator
+from .errors import InvalidValue, UnknownGenerator
 from .order import closure
 from .terms import (
     Gen,
     Join,
     Meet,
     Term,
+    fold,
     gen,
     generators,
     join_of,
@@ -61,9 +64,9 @@ class FreeLattice:
     def __init__(self, names: Iterable[str]):
         items = tuple(sorted(names))
         if not items:
-            raise ValueError("a free lattice needs at least one generator")
+            raise InvalidValue("a free lattice needs at least one generator")
         if len(set(items)) != len(items):
-            raise ValueError("generator names must be distinct")
+            raise InvalidValue("generator names must be distinct")
         for n in items:
             gen(n)  # validates the name
         self.names = items
@@ -149,9 +152,7 @@ def _split(s: Term, t: Term):
         return (s, t), True, ((c, t) for c in s.children)
     if type(t) is Meet:
         return (s, t), True, ((s, c) for c in t.children)
-    left = () if type(s) is Gen else ((c, t) for c in s.children)
-    right = () if type(t) is Gen else ((s, c) for c in t.children)
-    return (s, t), False, chain(left, right)
+    return (s, t), False, chain(((c, t) for c in s.children), ((s, c) for c in t.children))
 
 
 def leq_free(ctx: FreeLattice, s: Term, t: Term) -> bool:
@@ -171,26 +172,25 @@ _CANON: dict[Term, Term] = {}
 
 def _canon(t: Term) -> Term:
     hit = _CANON.get(t)
-    if hit is not None:
-        return hit
-    if isinstance(t, Gen):
-        res = t
-    else:
-        kids = [_canon(c) for c in t.children]
-        if isinstance(t, Meet):
-            res = _canon_node(kids, meet_of, Meet, Join)
-        else:
-            res = _canon_node(kids, join_of, Join, Meet)
-    _CANON[t] = res
+    return hit if hit is not None else fold(t, _canon_step, _CANON)
+
+
+def _canon_step(t: Term, kids: list[Term]) -> Term:
+    """The canonical form of ``t`` from those of its children; ``fold``
+    stores it in ``_CANON`` under ``t``, and a canonical form is its own."""
+    res = t if type(t) is Gen else _canon_node(kids, type(t))
     _CANON[res] = res
     return res
 
 
-def _canon_node(kids: list[Term], combine, own: type, other: type) -> Term:
+def _canon_node(kids: list[Term], own: type) -> Term:
     # For a join node (own=Join): replace a compound meetand child by one of
     # its arguments whenever that argument is below the whole join, then drop
     # children below the join of the rest.  Dual for meets.
-    below = _leq if own is Join else (lambda a, b: _leq(b, a))
+    if own is Join:
+        combine, other, below = join_of, Meet, _leq
+    else:
+        combine, other, below = meet_of, Join, lambda a, b: _leq(b, a)
     while True:
         t = combine(kids)
         if not isinstance(t, own):
@@ -256,25 +256,17 @@ def alternation_rank(ctx: FreeLattice, t: Term) -> StageIndex:
     form: generators are at ``(0, G)``, a meet of stage-``G_k`` terms is at
     ``(k, H)`` and a join of stage-``H_k`` terms is at ``(k+1, G)``."""
     ctx.check_term(t)
-    return _rank(_canon(t))
+    return fold(_canon(t), _rank)
 
 
-def _rank(t: Term) -> StageIndex:
-    if isinstance(t, Gen):
-        return StageIndex(0, "G")
-    if isinstance(t, Meet):
-        # each child is a generator or a join; child of kind (j, G) is in G_j,
-        # child of kind (j, H) only enters G at j+1
-        k = 0
-        for c in t.children:
-            r = _rank(c)
-            k = max(k, r.k if r.kind == "G" else r.k + 1)
-        return StageIndex(k, "H")
-    k = 0
-    for c in t.children:
-        r = _rank(c)  # any (j, *) term is in H_j
-        k = max(k, r.k)
-    return StageIndex(k + 1, "G")
+def _rank(t: Term, ranks: list[StageIndex]) -> StageIndex:
+    """The rank of ``t`` from those of its children, a :func:`fold` node."""
+    if type(t) is Meet:
+        # a child at (j, G) is in G_j, one at (j, H) enters G only at j + 1
+        return StageIndex(max(r.k if r.kind == "G" else r.k + 1 for r in ranks), "H")
+    if type(t) is Join:
+        return StageIndex(max(r.k for r in ranks) + 1, "G")  # any (j, *) is in H_j
+    return StageIndex(0, "G")
 
 
 def in_stage(ctx: FreeLattice, t: Term, idx: StageIndex) -> bool:
@@ -282,7 +274,7 @@ def in_stage(ctx: FreeLattice, t: Term, idx: StageIndex) -> bool:
     empty-join conventions: the join of all generators belongs to every meet
     closure and the meet of all generators to every join closure."""
     t = canonical_form(ctx, t)
-    if _rank(t) <= idx:
+    if fold(t, _rank) <= idx:
         return True
     if idx.kind == "H":
         return t is _canon(ctx.top_term)

@@ -28,12 +28,14 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     CapExceeded,
     DeanConditionFails,
+    InvalidValue,
     NotAHomomorphism,
     NotLowerBounded,
     NotSurjective,
     SearchExhausted,
     TargetLowerBounded,
     TargetMismatch,
+    UnassignedGenerator,
     UnknownElement,
     UnknownGenerator,
 )
@@ -119,14 +121,8 @@ class Hom:
         self._tables: tuple[list[dict[str, Term]], ...] = ([], [])
         self._bounded: list[bool | None] = [None, None]
         self._covers: list[dict[str, list[tuple[str, ...]]]] = [{}, {}]
-        if isinstance(source, FiniteLattice):
-            self._map = self._extend_finite()
-        else:
-            self._map = None
-        image_seed = sorted(set(self.images.values()))
-        self.surjective = generated_sublattice(target, image_seed) == set(
-            target.elements
-        )
+        self._map = self._extend_finite() if isinstance(source, FiniteLattice) else None
+        self.surjective = generated_sublattice(target, self.images.values()) == set(target.elements)
 
     def _extend_finite(self) -> dict[str, str]:
         """The closure of the graph of the generator images under
@@ -158,9 +154,12 @@ class Hom:
     def apply(self, x: Term | str) -> str:
         """Image of a source element (finite source) or of a term."""
         if isinstance(x, Term):
-            if self.free_source:
-                self.source.check_term(x)  # type: ignore[union-attr]
-            return evaluate_term(self.target, self.images, x)
+            try:
+                return evaluate_term(self.target, self.images, x)
+            except UnassignedGenerator:
+                if self.free_source:  # images cover exactly the source's names
+                    self.source.check_term(x)  # type: ignore[union-attr]
+                raise
         if self._map is None:
             raise UnknownElement("free source: apply expects a term")
         try:
@@ -305,9 +304,6 @@ def _fixpoint(
     return None
 
 
-_beta_fixpoint = _fixpoint  # the name the beta side has always had
-
-
 def beta_stable(g: Hom, d: str, k_cap: int = 64) -> tuple[Term | str, int]:
     """Stabilised least preimage of ``d`` with the witnessing level.
 
@@ -419,21 +415,13 @@ class PairSet:
 
 
 def _pair_key(p):
-    a, b = p
-    ka = sort_key(a) if isinstance(a, Term) else a
-    kb = sort_key(b) if isinstance(b, Term) else b
-    return (ka, kb)
+    return tuple(sort_key(x) if isinstance(x, Term) else x for x in p)
 
 
 def fiber_product(g: Hom, h: Hom) -> PairSet:
     """All pairs ``(a, b)`` of source elements with ``g(a) = h(b)``.  Needs
     finite sources and a common target."""
-    A = _require_finite(g)
-    B = _require_finite(h)
-    _require_same_target(g, h)
-    return PairSet.of(
-        (a, b) for a in A.elements for b in B.elements if g.apply(a) == h.apply(b)
-    )
+    return _fiber(g, h, str.__eq__)
 
 
 def kernel(g: Hom) -> PairSet:
@@ -442,14 +430,15 @@ def kernel(g: Hom) -> PairSet:
 
 def order_fiber(g: Hom, h: Hom) -> PairSet:
     """All pairs with ``g(a) <= h(b)``."""
+    return _fiber(g, h, g.target.leq)
+
+
+def _fiber(g: Hom, h: Hom, related) -> PairSet:
     A = _require_finite(g)
     B = _require_finite(h)
     _require_same_target(g, h)
     return PairSet.of(
-        (a, b)
-        for a in A.elements
-        for b in B.elements
-        if g.target.leq(g.apply(a), h.apply(b))
+        (a, b) for a in A.elements for b in B.elements if related(g.apply(a), h.apply(b))
     )
 
 
@@ -534,7 +523,7 @@ def uniform_beta_bound(pairs: Iterable[Sequence[Term]], g: Hom, h: Hom, cap: int
     for a, b in pairs:
         d = g.apply(a)
         if h.apply(b) != d:
-            raise ValueError(f"pair is not in the fiber product: {(a, b)}")
+            raise InvalidValue(f"pair is not in the fiber product: {(a, b)}")
         for m in range(cap + 1):
             if _leq(_free_tables(h, m, True)[d], b):
                 best = max(best, m)

@@ -155,17 +155,13 @@ def elements_up_to(j_max: int) -> list[Point]:
     return list(_elements_up_to(j_max))
 
 
-def _upper_bounds_within(u: Point, v: Point, j_cap: int) -> list[Point]:
-    return [w for w in _elements_up_to(j_cap) if leq(u, w) and leq(v, w)]
-
-
 @lru_cache(maxsize=None)
 def join(u: Point, v: Point) -> Point:
     """Least upper bound, by bounded candidate enumeration: candidates up to
     two above the larger input height suffice because any upper bound higher
     in a chain can be stepped down and remain an upper bound."""
     cap = max(u.j, v.j) + 2
-    ubs = _upper_bounds_within(u, v, cap)
+    ubs = [w for w in _elements_up_to(cap) if leq(u, w) and leq(v, w)]
     mins = [w for w in ubs if not any(x != w and leq(x, w) for x in ubs)]
     if len(mins) != 1:
         raise NotALattice(str(u), str(v), "join")

@@ -30,7 +30,7 @@ from .errors import (
     UnassignedGenerator,
     UnknownElement,
 )
-from .terms import Gen, Meet, Term
+from .terms import Gen, Meet, Term, fold
 
 __all__ = [
     "FinitePoset",
@@ -74,17 +74,20 @@ def closure(
     ``products`` must not depend on the order of its arguments.  A caller
     truncates the closure by leaving out-of-range products out of what
     ``products`` returns.  Raises :class:`CapExceeded` (``cap``, ``what``)
-    exactly when the closure has more than ``cap`` members."""
+    exactly when the closure has more than ``cap`` members, on adding the
+    first member over the cap."""
     out = list(dict.fromkeys(seed))
     seen = set(out)
+    if cap is not None and len(out) > cap:
+        raise CapExceeded(cap, what)
     for i, a in enumerate(out):
         for b in out[: i + 1]:
             for c in products(a, b):
                 if c not in seen:
                     seen.add(c)
                     out.append(c)
-        if cap is not None and len(out) > cap:
-            raise CapExceeded(cap, what)
+                    if cap is not None and len(out) > cap:
+                        raise CapExceeded(cap, what)
     return seen
 
 
@@ -454,15 +457,18 @@ def evaluate_term(L: FiniteLattice, assignment: Mapping[str, str], t: Term) -> s
     """Homomorphic evaluation of ``t`` in ``L``.  Empty meets and joins, had
     they a term form, would land on top and bottom via ``meet_set`` and
     ``join_set``."""
-    if isinstance(t, Gen):
+
+    def node(u: Term, vals: list[str]) -> str:
+        if type(u) is not Gen:
+            return L.meet_set(vals) if type(u) is Meet else L.join_set(vals)
         try:
-            v = assignment[t.name]
+            v = assignment[u.name]
         except KeyError:
-            raise UnassignedGenerator(f"no value for generator {t.name!r}") from None
+            raise UnassignedGenerator(f"no value for generator {u.name!r}") from None
         L.poset.index(v)
         return v
-    vals = [evaluate_term(L, assignment, c) for c in t.children]
-    return L.meet_set(vals) if isinstance(t, Meet) else L.join_set(vals)
+
+    return fold(t, node)
 
 
 # --- irreducibles, covers and the dependency digraph ---

@@ -71,10 +71,10 @@ from .terms import (
     Meet,
     Term,
     gen,
+    generators,
     join_of,
     meet_of,
     sort_key,
-    subterms,
     term_size,
     term_to_text,
 )
@@ -254,7 +254,7 @@ class PartialLattice:
         return m
 
     def _unknown(self, t: Term) -> UnknownGenerator:
-        names = {u.name for u in subterms(t) if type(u) is Gen} - self._bit.keys()
+        names = generators(t) - self._bit.keys()
         return UnknownGenerator(f"unknown generators: {sorted(names)}")
 
     def _settle(self, s: Term, t: Term) -> bool | None:

@@ -12,7 +12,10 @@ Terms are interned: structurally equal terms are the same object, so
 equality and hashing are by identity and dictionaries keyed on term pairs
 are fast.  Build terms only through :func:`gen`, :func:`meet_of` and
 :func:`join_of`; a directly constructed node is not interned.  Per-node
-state is the shape plus two memos, the sort key ``_key`` and size ``_size``.
+state is the shape plus the lazily filled sort key ``_key``; sizes are
+memoised in ``_SIZES``.  Bottom-up computations run on :func:`fold`, an
+explicit-stack post-order walk; neither they nor :func:`parse` recurse on
+term depth, and the constructors and ``<`` compare deep keys on a stack.
 
 Grammar for the wire format::
 
@@ -25,9 +28,11 @@ name.
 
 from __future__ import annotations
 
+import re
+from functools import cmp_to_key
 from typing import Iterable
 
-from .errors import TermSyntaxError
+from .errors import InvalidValue, TermSyntaxError
 
 __all__ = [
     "Term",
@@ -39,6 +44,7 @@ __all__ = [
     "join_of",
     "sort_key",
     "generators",
+    "fold",
     "term_size",
     "depth",
     "subterms",
@@ -47,16 +53,17 @@ __all__ = [
 ]
 
 _RESERVED = frozenset("&|()")
+_TOKEN = re.compile(r"[&|()]|[^\s&|()]+")  # a reserved character or a name
 
 
 class Term:
     """Base class of :class:`Gen`, :class:`Meet` and :class:`Join`."""
 
-    __slots__ = ("_key", "_size")
+    __slots__ = ("_key",)
 
     def __lt__(self, other: "Term") -> bool:
         # Structural order, not the lattice order.
-        return sort_key(self) < sort_key(other)
+        return _compare(self, other) < 0
 
     def __repr__(self) -> str:
         return f"<term {term_to_text(self)}>"
@@ -64,11 +71,11 @@ class Term:
 
 class Gen(Term):
     __slots__ = ("name",)
+    children: tuple[Term, ...] = ()
 
     def __init__(self, name: str):
         self.name = name
         self._key = None
-        self._size = 1
 
 
 class _Compound(Term):
@@ -77,7 +84,6 @@ class _Compound(Term):
     def __init__(self, children: tuple[Term, ...]):
         self.children = children
         self._key = None
-        self._size = None
 
 
 class Meet(_Compound):
@@ -98,10 +104,9 @@ def gen(name: str) -> Gen:
     t = _GEN_CACHE.get(name)
     if t is None:
         if not name:
-            raise ValueError("generator name must be non-empty")
-        bad = set(name) & _RESERVED
-        if bad or any(c.isspace() for c in name):
-            raise ValueError(f"generator name {name!r} uses reserved characters")
+            raise InvalidValue("generator name must be non-empty")
+        if name in _RESERVED or not _TOKEN.fullmatch(name):
+            raise InvalidValue(f"generator name {name!r} uses reserved characters")
         t = _GEN_CACHE[name] = Gen(name)
     return t
 
@@ -111,14 +116,27 @@ def sort_key(t: Term):
     compounds compare lexicographically on their child key lists."""
     k = t._key
     if k is None:
-        if isinstance(t, Gen):
+        if type(t) is Gen:
             k = (0, t.name)
-        elif isinstance(t, Meet):
-            k = (1, tuple(sort_key(c) for c in t.children))
         else:
-            k = (2, tuple(sort_key(c) for c in t.children))
+            k = (1 if type(t) is Meet else 2, tuple(sort_key(c) for c in t.children))
         t._key = k
     return k
+
+
+def _compare(s: Term, t: Term) -> int:
+    """-1, 0 or 1 as ``sort_key(s)`` is below, equal to or above
+    ``sort_key(t)``, compared on an explicit stack: tuple comparison recurses
+    once per level, so it fails on deep terms that differ only deep down."""
+    stack = [(sort_key(s), sort_key(t))]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is tuple and type(b) is tuple and a is not b:
+            stack.append((len(a), len(b)))  # a proper prefix comes first
+            stack.extend(reversed(list(zip(a, b))))
+        elif a != b:
+            return -1 if a < b else 1
+    return 0
 
 
 def _combine(children: Iterable[Term], flat_type: type, cache: dict, ctor) -> Term:
@@ -132,7 +150,10 @@ def _combine(children: Iterable[Term], flat_type: type, cache: dict, ctor) -> Te
             flat.append(c)
     if not flat:
         raise ValueError("meets and joins need at least one child")
-    flat.sort(key=sort_key)
+    try:
+        flat.sort(key=sort_key)
+    except RecursionError:  # keys nest as deep as the terms
+        flat.sort(key=cmp_to_key(_compare))
     kids: list[Term] = []
     for c in flat:
         if not kids or kids[-1] is not c:
@@ -156,117 +177,128 @@ def join_of(children: Iterable[Term]) -> Term:
     return _combine(children, Join, _JOIN_CACHE, Join)
 
 
-def _fill_slot(t: Term, slot: str, combine):
-    """Fill ``slot`` bottom-up on ``t`` and every subterm still missing it:
-    each gets ``combine`` of its children's values, children first, on an
-    explicit stack so that deep terms cannot exhaust the call stack.
-    Generators carry their value from construction."""
-    stack = [(t, iter(t.children))]
-    while stack:
-        u, kids = stack[-1]
-        for c in kids:
-            if getattr(c, slot) is None:
-                stack.append((c, iter(c.children)))
-                break
-        else:
-            stack.pop()
-            setattr(u, slot, combine([getattr(c, slot) for c in u.children]))
-    return getattr(t, slot)
+def fold(t: Term, node, memo=None):
+    """The value ``node(t, values)``, where ``values`` are those of the
+    children of ``t`` in order (none for a generator).  An explicit-stack
+    post-order walk computes the value of each distinct subterm missing from
+    ``memo`` (a fresh dict by default) once and stores it there."""
+    memo = {} if memo is None else memo
+    if t not in memo:
+        stack = [(t, iter(t.children))]
+        while stack:
+            u, pending = stack[-1]
+            for c in pending:
+                if c not in memo:
+                    if c.children:
+                        stack.append((c, iter(c.children)))
+                        break
+                    memo[c] = node(c, [])  # a leaf needs no stack frame
+            else:
+                stack.pop()
+                memo[u] = node(u, list(map(memo.__getitem__, u.children)))
+    return memo[t]
 
 
 def generators(t: Term) -> frozenset[str]:
     """The set of generator names occurring in ``t``."""
-    return frozenset(u.name for u in subterms(t) if isinstance(u, Gen))
+    return frozenset(u.name for u in subterms(t) if type(u) is Gen)
+
+
+_SIZES: dict[Term, int] = {}
 
 
 def term_size(t: Term) -> int:
     """Total number of nodes in the term tree."""
-    n = t._size
-    return n if n is not None else _fill_slot(t, "_size", lambda ns: 1 + sum(ns))
+    n = _SIZES.get(t)
+    return n if n is not None else fold(t, lambda u, ns: 1 + sum(ns), _SIZES)
 
 
 def depth(t: Term) -> int:
     """Longest generator-to-root path; generators have depth 0."""
-    if isinstance(t, Gen):
-        return 0
-    return 1 + max(depth(c) for c in t.children)
+    return fold(t, lambda u, ds: 1 + max(ds) if ds else 0)
 
 
 def subterms(t: Term) -> frozenset[Term]:
-    """All distinct subterms of ``t``, including ``t`` itself."""
+    """All distinct subterms of ``t``, including ``t`` itself.  It needs no
+    values, so it takes a plain stack, at half the cost of :func:`fold`."""
     out: set[Term] = set()
     stack = [t]
     while stack:
         u = stack.pop()
         if u not in out:
             out.add(u)
-            if not isinstance(u, Gen):
-                stack.extend(u.children)
+            stack.extend(u.children)
     return frozenset(out)
 
 
 def term_to_text(t: Term) -> str:
-    """Render ``t`` in the wire grammar.  Inverse of :func:`parse` on
-    shape-canonical terms."""
-    if isinstance(t, Gen):
-        return t.name
-    sep = " & " if isinstance(t, Meet) else " | "
-    return "(" + sep.join(term_to_text(c) for c in t.children) + ")"
+    """Render ``t`` in the wire grammar, inverse to :func:`parse`.  Tokens
+    leave a stack in pre-order: a :func:`fold` would hold every subterm's text."""
+    out: list[str] = []
+    stack: list[Term | str] = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is str:
+            out.append(u)
+        elif type(u) is Gen:
+            out.append(u.name)
+        else:
+            out.append("(")
+            sep = " & " if type(u) is Meet else " | "
+            stack.append(")")
+            for c in u.children[:0:-1]:
+                stack.append(c)
+                stack.append(sep)
+            stack.append(u.children[0])
+    return "".join(out)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _RESERVED:
-            toks.append((c, c, i))
-            i += 1
-            continue
-        j = i
-        while j < n and text[j] not in _RESERVED and not text[j].isspace():
-            j += 1
-        toks.append(("ident", text[i:j], i))
-        i = j
-    return toks
+def _syntax_error(text: str, message: str, i: int) -> TermSyntaxError:
+    """The error at token ``i`` of ``text``, or at its end past the last."""
+    starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+    return TermSyntaxError(message, starts[i])
 
 
 def parse(text: str) -> Term:
     """Parse term text.  Raises :class:`TermSyntaxError` with the offending
-    character position on bad input."""
-    toks = _tokenize(text)
+    character position on bad input.  A shift-reduce loop: ``(`` opens a
+    frame ``[operator, parts]``, and each finished term joins the innermost
+    frame, which its ``)`` then finishes in turn."""
+    toks = _TOKEN.findall(text)
     if not toks:
         raise TermSyntaxError("empty input", 0)
-    t, i = _parse_term(toks, 0, text)
-    if i != len(toks):
-        raise TermSyntaxError("trailing input", toks[i][2])
-    return t
-
-
-def _parse_term(toks, i: int, text: str) -> tuple[Term, int]:
-    if i >= len(toks):
-        raise TermSyntaxError("unexpected end of input", len(text))
-    kind, value, pos = toks[i]
-    if kind == "ident":
-        return gen(value), i + 1
-    if kind != "(":
-        raise TermSyntaxError(f"unexpected {value!r}", pos)
-    first, i = _parse_term(toks, i + 1, text)
-    if i >= len(toks):
-        raise TermSyntaxError("unexpected end of input", len(text))
-    op, _, op_pos = toks[i]
-    if op not in ("&", "|"):
-        raise TermSyntaxError("expected '&' or '|'", toks[i][2])
-    parts = [first]
-    while i < len(toks) and toks[i][0] == op:
-        part, i = _parse_term(toks, i + 1, text)
-        parts.append(part)
-    if i >= len(toks):
-        raise TermSyntaxError("missing ')'", len(text))
-    if toks[i][0] != ")":
-        raise TermSyntaxError(f"mixed operators; expected {op!r} or ')'", toks[i][2])
-    combined = meet_of(parts) if op == "&" else join_of(parts)
-    return combined, i + 1
+    toks.append("")  # end of input
+    frames: list[list] = []
+    i = 0
+    while True:  # a term starts at toks[i]
+        tok = toks[i]
+        i += 1
+        if tok == "(":
+            frames.append([None, []])
+            continue
+        if not tok or tok in _RESERVED:
+            raise _syntax_error(
+                text, f"unexpected {tok!r}" if tok else "unexpected end of input", i - 1)
+        t = gen(tok)
+        while frames:
+            op, parts = frame = frames[-1]
+            parts.append(t)
+            tok = toks[i]
+            i += 1
+            if op is None and (tok == "&" or tok == "|"):
+                op = frame[0] = tok
+            if tok == op:
+                break  # another part follows
+            if not tok:
+                raise _syntax_error(
+                    text, "unexpected end of input" if op is None else "missing ')'", i - 1)
+            if op is None:
+                raise _syntax_error(text, "expected '&' or '|'", i - 1)
+            if tok != ")":
+                raise _syntax_error(text, f"mixed operators; expected {op!r} or ')'", i - 1)
+            frames.pop()
+            t = meet_of(parts) if op == "&" else join_of(parts)
+        else:
+            if toks[i]:
+                raise _syntax_error(text, "trailing input", i)
+            return t

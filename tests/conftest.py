@@ -8,6 +8,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 from latkit.order import FiniteLattice, FinitePoset, build_lattice, chain
 
 
+@pytest.fixture
+def default_recursion_limit():
+    """Run the test at CPython's default recursion limit of 1,000."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
 @pytest.fixture(scope="session")
 def m3() -> FiniteLattice:
     return build_lattice(

@@ -21,7 +21,7 @@ from latkit import inflated as inf
 from latkit.free import FreeLattice, StageIndex, eq_free, in_stage, leq_free
 from latkit.homs import (
     Hom,
-    _beta_fixpoint,
+    _fixpoint as _beta_fixpoint,
     alpha_k,
     beta_k,
     check_order_fiber_generation,

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 M3 = {
     "elements": ["0", "1", "a", "b", "c"],
@@ -347,6 +350,8 @@ def test_verify_certificate_unknown_kind(tmp_path):
         assert check.stderr == f"error: no checker for certificate kind '{kind}'\n"
 
 
+WITNESS_ZFILE = ("witness", "--target", "{m3}", "--free-a", "x,y,z", "--free-b", "x,y,z",
+                 "--images-g", "x=a,y=b,z=c", "--images-h", "x=a,y=b,z=c", "--zfile", "{z}")
 NO_COVERS = {"elements": ["x", "y"]}
 SHORT_COVER = {"elements": ["0", "1"], "covers": [["0"]]}
 MIXED_IDS = {"elements": ["0", 1], "covers": [["0", 1]]}
@@ -374,6 +379,16 @@ SHORT_JOIN = {"elements": ["x", "y"], "covers": [], "joins": [["x"]]}
         (("fixture", "M", "--depth", "1", "--verify", "generators"), {}),
         (("fixture", "M", "--depth", "1", "--verify", "kernel"), {}),
         (("fixture", "M", "--depth", "-3", "--verify", "unbounded"), {}),
+        (("free", "leq", "--gens", "x,(", "x", "x"), {}),
+        (("free", "leq", "--gens", ",", "x", "x"), {}),
+        (("free", "leq", "--gens", "x,x", "x", "x"), {}),
+        (("hom", "beta", "{sq}", "--free", ",", "--images", "x=a", "--element", "0"),
+         {"sq": SQUARE}),
+        (("witness", "--target", "{m3}", "--free-a", ",", "--free-b", "x,y,z",
+          "--images-g", "x=a", "--images-h", "x=a,y=b,z=c"), {"m3": M3}),
+        (WITNESS_ZFILE, {"m3": M3, "z": [1]}),
+        (WITNESS_ZFILE, {"m3": M3, "z": {"pairs": [["x"]]}}),
+        (WITNESS_ZFILE, {"m3": M3, "z": {"pairs": [["x", "y"]]}}),
     ],
     ids=[
         "fp-no-covers",
@@ -392,6 +407,14 @@ SHORT_JOIN = {"elements": ["x", "y"], "covers": [], "joins": [["x"]]}
         "fixture-generators-depth-1",
         "fixture-kernel-depth-1",
         "fixture-unbounded-negative-depth",
+        "free-reserved-generator",
+        "free-no-generators",
+        "free-repeated-generator",
+        "hom-free-no-generators",
+        "witness-free-no-generators",
+        "witness-zfile-list",
+        "witness-zfile-short-pair",
+        "witness-zfile-non-fiber-pair",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, argv, files):
@@ -399,3 +422,44 @@ def test_bad_input_is_a_usage_error(tmp_path, argv, files):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_verify_certificate_on_a_depth_12000_term(tmp_path):
+    proc = run_cli("--json", *WITNESS_ZFILE[:-2], files={"m3": M3}, tmp_path=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    a = doc["certificate"]["a"]
+    for i in range(12000):
+        a = f"({'xyz'[i % 3]} {'&|'[i % 2]} {a})"
+    for deep in (a, f"({a} | x | y | z)"):
+        doc["certificate"]["a"] = deep
+        cert_file = tmp_path / "deep.json"
+        cert_file.write_text(json.dumps(doc))
+        check = run_cli("verify-certificate", str(cert_file))
+        assert check.returncode in (0, 1), check.stderr
+        assert check.stdout.startswith("certificate valid: ")
+        assert "Traceback" not in check.stderr
+
+
+fuzz_text = st.text(alphabet="xyz,()&| -") | st.text(max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(action=st.sampled_from(["leq", "rank"]), gens=fuzz_text,
+       terms=st.lists(fuzz_text, min_size=1, max_size=2))
+def test_free_commands_exit_with_a_documented_code(action, gens, terms):
+    from latkit.cli import main
+
+    limit = sys.getrecursionlimit()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["free", action, "--gens", gens, *terms])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if code == 1:
+        assert out.getvalue() == "false\n"
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue()
+    assert sys.getrecursionlimit() == limit

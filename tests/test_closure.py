@@ -93,3 +93,21 @@ def test_hom_extension_matches_elementwise_check():
             with pytest.raises(NotAHomomorphism, match="conflicting images"):
                 Hom(A, D, images)
     assert verdicts == {True, False}
+
+
+def test_closure_stops_at_the_member_over_the_cap():
+    calls = []
+
+    def products(a, b):
+        calls.append((a, b))
+        return (max(a, b) + 1,)
+
+    # the first pair with 9, (9, 0), adds 10, the eleventh member; the other
+    # eight pairs with 9 are not tried
+    with pytest.raises(CapExceeded):
+        closure(range(10), products, cap=10)
+    assert len(calls) == sum(range(1, 10)) + 1 and calls[-1] == (9, 0)
+    calls.clear()
+    with pytest.raises(CapExceeded):
+        closure(range(10), products, cap=9)
+    assert calls == []

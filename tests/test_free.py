@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import oracle_leq_free, random_lattice, random_term
+from latkit.cli import _dual_term
 from latkit.errors import CapExceeded, UnknownGenerator
 from latkit.free import (
     FreeLattice,
@@ -17,7 +18,7 @@ from latkit.free import (
 )
 from latkit.order import evaluate_term
 from latkit.partial_lattice import antichain, leq_fp
-from latkit.terms import gen, join_of, meet_of, parse, term_to_text
+from latkit.terms import depth, gen, join_of, meet_of, parse, term_size, term_to_text
 
 X2 = FreeLattice(["x", "y"])
 X3 = FreeLattice(["x", "y", "z"])
@@ -250,3 +251,24 @@ def test_leq_on_deep_terms_needs_no_deep_recursion():
     u = _alternating(join_of([gen("w"), gen("x")]), names, 300)
     assert leq_free(ctx, s, u) and leq_free(ctx, t, u)
     assert not leq_free(ctx, u, s)
+
+
+def test_depth_5000_terms_at_the_default_recursion_limit(default_recursion_limit, m3):
+    names = ["w", "x", "y", "z"]
+    ctx = FreeLattice(names)
+    s, t = (_alternating(gen(n), names, 5000) for n in ("w", "x"))
+    assert parse(term_to_text(s)) is s
+    assert depth(s) == 5000 and term_size(s) == 10001
+    assert canonical_form(ctx, s) is s
+    assert alternation_rank(ctx, s) == StageIndex(2500, "G")
+    assert _dual_term(_dual_term(s)) is s
+    # the same walk as _alternating, run on the images
+    images = {"w": "a", "x": "b", "y": "c", "z": "a"}
+    v = "a"
+    for i in range(5000):
+        g = images[names[(i + 2) % len(names)]]
+        v = m3.meet(g, v) if i % 2 == 0 else m3.join(g, v)
+    assert evaluate_term(m3, images, s) == v
+    assert not leq_free(ctx, s, t) and not leq_free(ctx, t, s)
+    u = _alternating(join_of([gen("w"), gen("x")]), names, 5000)
+    assert leq_free(ctx, s, u) and not leq_free(ctx, u, s)

@@ -5,7 +5,9 @@ from latkit.errors import TermSyntaxError
 from latkit.terms import (
     Gen,
     Meet,
+    _compare,
     depth,
+    fold,
     gen,
     generators,
     join_of,
@@ -145,3 +147,61 @@ def test_shape_canonical_invariants(t):
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)  # deduplicated
         stack.extend(u.children)
+
+
+def _is_name(name):
+    return bool(name) and not any(c in "&|()" or c.isspace() for c in name)
+
+
+any_names = st.text(min_size=1, max_size=4).filter(_is_name)
+
+
+@given(st.recursive(
+    any_names.map(gen),
+    lambda children: st.lists(children, min_size=1, max_size=3).map(meet_of)
+    | st.lists(children, min_size=1, max_size=3).map(join_of),
+    max_leaves=16,
+))
+def test_roundtrip_with_arbitrary_names(t):
+    assert parse(term_to_text(t)) is t
+
+
+@given(st.text(alphabet="xy()&| ") | st.text())
+def test_arbitrary_text_parses_or_raises_syntax_error(text):
+    try:
+        t = parse(text)
+    except TermSyntaxError as exc:
+        assert 0 <= exc.position <= len(text)
+    else:
+        assert parse(term_to_text(t)) is t
+
+
+def test_fold_visits_each_distinct_subterm_once():
+    shared = parse("(x | y)")
+    t = join_of([meet_of([shared, gen("z")]), meet_of([shared, gen("w")])])
+    seen = []
+    assert fold(t, lambda u, sizes: seen.append(u) or 1 + sum(sizes)) == term_size(t) == 11
+    assert len(seen) == 8 and set(seen) == subterms(t)
+    memo = {shared: 0}
+    assert fold(t, lambda u, values: sum(values) + (type(u) is Gen), memo) == 2
+    assert gen("x") not in memo
+
+
+@given(term_strategy(), term_strategy())
+def test_explicit_stack_compare_matches_key_order(s, t):
+    ks, kt = sort_key(s), sort_key(t)
+    assert _compare(s, t) == (ks > kt) - (ks < kt)
+    assert (s < t) is (ks < kt)
+
+
+def test_deep_terms_that_differ_deep_down_combine_and_compare(default_recursion_limit):
+    def chain(leaf):
+        for i in range(3000):
+            g = gen("xyz"[i % 3])
+            leaf = meet_of([g, leaf]) if i % 2 else join_of([g, leaf])
+        return leaf
+
+    s, t = chain(gen("w")), chain(gen("v"))
+    u = join_of([t, s])
+    assert u.children == (t, s) and t < s and not s < t
+    assert parse(term_to_text(u)) is u
