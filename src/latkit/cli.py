@@ -72,6 +72,15 @@ def _default_cap() -> int:
         return 100000
 
 
+def _cap(args) -> int:
+    """``--cap`` when given, else ``LATKIT_CAP`` or the default."""
+    if args.cap is None:
+        return _default_cap()
+    if args.cap < 0:
+        raise SystemExit(_usage_error("--cap must be non-negative"))
+    return args.cap
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -97,8 +106,10 @@ def _parse_images(text: str) -> dict[str, str]:
             continue
         if "=" not in item:
             raise SystemExit(_usage_error(f"bad image {item!r}, expected name=value"))
-        k, v = item.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in item.split("=", 1))
+        if k in out:
+            raise SystemExit(_usage_error(f"image of {k!r} given twice"))
+        out[k] = v
     return out
 
 
@@ -248,7 +259,7 @@ def _cmd_fp(args) -> int:
         doc = {"kind": "fp-whitman", "input": P.to_dict()}
         return _emit_condition(args, doc, partial_whitman_check(P))
     if args.action == "bounded":
-        cap = args.cap or _default_cap()
+        cap = _cap(args)
         terms = None
         if args.generators:
             terms = [parse(t) for t in args.generators.split(";") if t.strip()]
@@ -362,7 +373,7 @@ def _cmd_fiber(args) -> int:
     target = _load_lattice(args.target)
     g = _make_hom(args, args.a, target, args.g)
     h = _make_hom(args, args.b, target, args.h)
-    cap = args.cap or _default_cap()
+    cap = _cap(args)
     if args.action == "gen":
         z = fiber_generating_set(g, h)
         pairs = [[a, b] for a, b in z]

@@ -14,8 +14,12 @@ normal form has flattened, sorted, pairwise incomparable children, and no
 compound meetand of a child lies below the whole join (dually for meets).
 Under those conditions any further redundancy of a child against the join
 of the others is impossible, the form is unique per lattice element, and
-structural equality of canonical forms coincides with ``eq_free``.  Stage
-enumeration exploits that for hash-based deduplication.
+structural equality of canonical forms coincides with ``eq_free``.
+
+``stage_elements`` closes each stage on bitmasks over the subterms of the
+previous one: by Whitman's condition (W) and the primeness of generators
+the mask of a join (meet) follows from the masks of its parts, so a term is
+built and canonicalised once per new element, not once per pair product.
 
 All values are immutable; the module-level memo tables only ever gain
 entries whose values never change, so concurrent readers are safe under the
@@ -28,8 +32,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
-from .errors import InvalidValue, UnknownGenerator
-from .order import closure
+from .errors import CapExceeded, InvalidValue, UnknownGenerator
 from .terms import (
     Gen,
     Join,
@@ -286,17 +289,70 @@ def stage_elements(
 ) -> tuple[Term, ...]:
     """All elements of the requested stage set, as canonical terms sorted by
     size then structural order.  Raises :class:`CapExceeded` when the closure
-    grows past ``cap`` elements."""
-    reps: Iterable[Term] = [_canon(g) for g in ctx.generator_terms]
+    grows past ``cap`` elements.
+
+    Each step closes a basis, the previous stage plus the adjoined empty
+    meet (join), on masks.  For a join step the mask of an element ``J`` is
+    the set of basis subterms below ``J``; the basis members in it join to
+    ``J``, so equal masks mean equal elements.  A member's seed mask comes
+    from order tests.  The mask of a join of members grows from the union
+    of their seeds in one children-first pass: a join subterm is below
+    ``J`` iff all its children are, and by (W) a meet subterm is iff one of
+    its children is or it lies below a joinand of ``J`` (then it is in
+    that member's seed); a generator, join prime, is below ``J`` only via a
+    seed.  Meet steps are dual.  The pass is needed even at ``G_1``, since
+    the adjoined bound is a compound term."""
+    reps = [_canon(g) for g in ctx.generator_terms]
     for pos in range(idx.position):
         if pos % 2 == 0:  # G_k -> H_k, adjoin the empty meet
-            combine, extra = meet_of, ctx.top_term
+            reps = _close(reps, ctx.top_term, Meet, cap)
         else:  # H_k -> G_{k+1}, adjoin the empty join
-            combine, extra = join_of, ctx.bottom_term
-        reps = closure(
-            chain(reps, (_canon(extra),)),
-            lambda a, b: (_canon(combine([a, b])),),
-            cap,
-            "stage enumeration",
-        )
+            reps = _close(reps, ctx.bottom_term, Join, cap)
     return tuple(sorted(reps, key=lambda t: (term_size(t), sort_key(t))))
+
+
+def _close(reps: list[Term], extra: Term, own: type, cap: int) -> list[Term]:
+    """Canonical terms of the closure of ``reps`` and ``extra`` under joins
+    (``own`` is Join) or meets, on masks as :func:`stage_elements`
+    describes.  Subterms are numbered children-first, each class is
+    extended by one basis member at a time, and a term is built only for a
+    new mask.  The count, and so ``CapExceeded``, is that of the pairwise
+    closure of the basis."""
+    if own is Join:
+        combine, below = join_of, _leq
+    else:
+        combine, below = meet_of, lambda a, b: _leq(b, a)
+    basis = list(dict.fromkeys([*reps, _canon(extra)]))
+    if len(basis) > cap:
+        raise CapExceeded(cap, "stage enumeration")
+    index: dict[Term, int] = {}
+    for b in basis:
+        fold(b, lambda u, _: len(index), index)
+    rules = [
+        (1 << i, sum(1 << index[c] for c in u.children), type(u) is own)
+        for u, i in index.items()
+        if u.children
+    ]
+    seeds = [sum(1 << i for u, i in index.items() if below(u, s)) for s in basis]
+    found = dict(zip(seeds, basis))
+    todo = list(found.items())
+    for m, t in todo:  # grows while it is walked
+        for seed, s in zip(seeds, basis):
+            if seed & ~m:
+                n = _sat(m | seed, rules)
+                if n not in found:
+                    found[n] = j = _canon(combine([t, s]))
+                    todo.append((n, j))
+                    if len(found) > cap:
+                        raise CapExceeded(cap, "stage enumeration")
+    return list(found.values())
+
+
+def _sat(m: int, rules) -> int:
+    """Close the mask ``m`` children-first.  ``rules`` lists each compound
+    subterm's bit and child mask, and whether all children must be in (a
+    join in a join step) or one suffices; a generator never enters."""
+    for bit, kids, conj in rules:
+        if not m & bit and ((m & kids) == kids if conj else m & kids):
+            m |= bit
+    return m

@@ -574,17 +574,19 @@ def non_generation_witness(
     zs = list(pairs)
     n_bound = uniform_beta_bound(zs, g, h) if zs else 0
     ctx_a: FreeLattice = g.source  # type: ignore[assignment]
-    anchors: list[tuple[str, int, Term]] = []
-    for d in g.target.elements:
-        for k in range(depth_cap + 1):
-            try:
-                stage = stage_elements(ctx_a, StageIndex(k, "H"), stage_cap)
-            except CapExceeded:
-                break  # deeper stages are out of reach; try other images
-            hit = next((w for w in stage if g.apply(w) == d), None)
-            if hit is not None:
-                anchors.append((d, k, hit))
-                break
+    # each H_k is enumerated once; an image is anchored at its first
+    # preimage in the first stage that has one
+    found: dict[str, tuple[int, Term]] = {}
+    for k in range(depth_cap + 1):
+        if len(found) == len(g.target.elements):
+            break
+        try:
+            stage = stage_elements(ctx_a, StageIndex(k, "H"), stage_cap)
+        except CapExceeded:
+            break  # deeper stages are out of reach
+        for w in stage:
+            found.setdefault(g.apply(w), (k, w))
+    anchors = [(d, *found[d]) for d in g.target.elements if d in found]
     # iterative deepening keeps the beta tables shallow when an early
     # candidate merely plateaus while another drops immediately
     windows = sorted({w for w in (2, 4, 8) if w < depth_cap} | {depth_cap})

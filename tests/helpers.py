@@ -220,3 +220,27 @@ def term_size_of(t: Term) -> int:
     from latkit.terms import term_size
 
     return term_size(t)
+
+
+def stage_elements_oracle(ctx, idx, cap: int = 20000) -> tuple[Term, ...]:
+    """The pair-product stage closure that :func:`latkit.stage_elements`
+    replaced: every pairwise meet (join) of the members so far is built and
+    canonicalised, and canonical forms deduplicate.  Same output, same
+    ``CapExceeded`` condition."""
+    from latkit.free import _canon
+    from latkit.order import closure
+    from latkit.terms import term_size
+
+    reps = [_canon(g) for g in ctx.generator_terms]
+    for pos in range(idx.position):
+        if pos % 2 == 0:  # G_k -> H_k, adjoin the empty meet
+            combine, extra = meet_of, ctx.top_term
+        else:  # H_k -> G_{k+1}, adjoin the empty join
+            combine, extra = join_of, ctx.bottom_term
+        reps = closure(
+            [*reps, _canon(extra)],
+            lambda a, b: (_canon(combine([a, b])),),
+            cap,
+            "stage enumeration",
+        )
+    return tuple(sorted(reps, key=lambda t: (term_size(t), sort_key(t))))

@@ -114,6 +114,13 @@ def test_cap_exit_code(tmp_path):
     assert proc.returncode == 3
 
 
+def test_cap_zero_is_a_cap(tmp_path):
+    proc = run_cli(
+        "fp", "bounded", "{p}", "--cap", "0", files={"p": ANTICHAIN3}, tmp_path=tmp_path
+    )
+    assert proc.returncode == 3, proc.stderr
+
+
 def test_cap_env_var(tmp_path):
     import os
 
@@ -389,6 +396,11 @@ SHORT_JOIN = {"elements": ["x", "y"], "covers": [], "joins": [["x"]]}
         (WITNESS_ZFILE, {"m3": M3, "z": [1]}),
         (WITNESS_ZFILE, {"m3": M3, "z": {"pairs": [["x"]]}}),
         (WITNESS_ZFILE, {"m3": M3, "z": {"pairs": [["x", "y"]]}}),
+        (("fp", "bounded", "{p}", "--cap", "-1"), {"p": ANTICHAIN3}),
+        (("fiber", "verify", "{m3}", "{m3}", "{m3}", "--g", "0=0,1=1,a=a,b=b,c=c",
+          "--h", "0=0,1=1,a=a,b=b,c=c", "--cap", "-4"), {"m3": M3}),
+        (("hom", "beta", "free:x,y", "{m3}", "--images", "x=a,x=b,y=c", "--element", "a",
+          "--k", "0"), {"m3": M3}),
     ],
     ids=[
         "fp-no-covers",
@@ -415,6 +427,9 @@ SHORT_JOIN = {"elements": ["x", "y"], "covers": [], "joins": [["x"]]}
         "witness-zfile-list",
         "witness-zfile-short-pair",
         "witness-zfile-non-fiber-pair",
+        "fp-negative-cap",
+        "fiber-negative-cap",
+        "hom-repeated-image",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, argv, files):

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import oracle_leq_free, random_lattice, random_term
+from helpers import oracle_leq_free, random_lattice, random_term, stage_elements_oracle
+from latkit import free
 from latkit.cli import _dual_term
 from latkit.errors import CapExceeded, UnknownGenerator
 from latkit.free import (
@@ -129,6 +130,48 @@ def test_stage_monotone():
 def test_stage_cap():
     with pytest.raises(CapExceeded):
         stage_elements(X3, StageIndex(1, "H"), 10)
+
+
+_UP_TO_H1 = [StageIndex(0, "G"), StageIndex(0, "H"), StageIndex(1, "G"), StageIndex(1, "H")]
+
+
+@pytest.mark.parametrize("names, idx", [
+    *((n, i) for n in ("x", "xy", "xyz") for i in _UP_TO_H1),
+    ("wxyz", StageIndex(1, "G")),
+    ("uvwxy", StageIndex(0, "H")),
+    ("uvwxyz", StageIndex(0, "H")),
+], ids=lambda v: v if isinstance(v, str) else f"{v.kind}{v.k}")
+def test_stage_elements_match_pair_product_oracle(names, idx):
+    ctx = FreeLattice(names)
+    assert stage_elements(ctx, idx) == stage_elements_oracle(ctx, idx)
+
+
+@pytest.mark.parametrize("cap", [10, 43, 44])
+def test_stage_cap_matches_oracle(cap):
+    idx = StageIndex(1, "H")  # 44 elements on three generators
+    try:
+        want = stage_elements_oracle(X3, idx, cap)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            stage_elements(X3, idx, cap)
+    else:
+        assert stage_elements(X3, idx, cap) == want
+
+
+def test_stage_g2_three_generators():
+    assert len(stage_elements(X3, StageIndex(2, "G"))) == 677
+
+
+def test_stage_closure_needs_saturation_at_g1(monkeypatch):
+    # The adjoined bottom is a compound term, so at G_1 too the OR of two
+    # masks can miss a subterm below the join: without saturation one
+    # element is split over several masks.
+    idx = StageIndex(1, "G")
+    want = stage_elements_oracle(X3, idx)
+    assert stage_elements(X3, idx) == want
+    monkeypatch.setattr(free, "_sat", lambda m, rules: m)
+    got = stage_elements(X3, idx)
+    assert set(got) == set(want) and len(got) > len(want)
 
 
 def test_in_stage_conventions():
