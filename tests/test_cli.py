@@ -108,17 +108,11 @@ def test_usage_error_exit_code(tmp_path):
 
 
 def test_cap_exit_code(tmp_path):
-    proc = run_cli(
-        "fp", "bounded", "{p}", "--cap", "2", files={"p": ANTICHAIN3}, tmp_path=tmp_path
-    )
-    assert proc.returncode == 3
-
-
-def test_cap_zero_is_a_cap(tmp_path):
-    proc = run_cli(
-        "fp", "bounded", "{p}", "--cap", "0", files={"p": ANTICHAIN3}, tmp_path=tmp_path
-    )
-    assert proc.returncode == 3, proc.stderr
+    for cap in ("0", "2"):  # 0 is a cap, not "no cap"
+        proc = run_cli(
+            "fp", "bounded", "{p}", "--cap", cap, files={"p": ANTICHAIN3}, tmp_path=tmp_path
+        )
+        assert proc.returncode == 3, (cap, proc.stderr)
 
 
 def test_cap_env_var(tmp_path):

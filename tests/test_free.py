@@ -168,7 +168,6 @@ def test_stage_closure_needs_saturation_at_g1(monkeypatch):
     # element is split over several masks.
     idx = StageIndex(1, "G")
     want = stage_elements_oracle(X3, idx)
-    assert stage_elements(X3, idx) == want
     monkeypatch.setattr(free, "_sat", lambda m, rules: m)
     got = stage_elements(X3, idx)
     assert set(got) == set(want) and len(got) > len(want)
