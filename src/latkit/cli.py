@@ -8,8 +8,9 @@ the verdict, the witness and enough input context for the
 deterministic: identical inputs produce identical bytes.
 
 The closure and stage caps of ``fp bounded`` and ``fiber`` default to the
-``LATKIT_CAP`` environment variable when set and can be overridden per
-invocation with ``--cap``.  The ``lattice`` checks run in polynomial time and
+``LATKIT_CAP`` environment variable when set and not empty (else 100,000)
+and can be overridden per invocation with ``--cap``; a cap that is not a
+non-negative integer is a usage error.  The ``lattice`` checks run in polynomial time and
 take no cap.
 """
 
@@ -66,19 +67,29 @@ EXIT_CAP = 3
 
 
 def _default_cap() -> int:
-    try:
-        return int(os.environ.get("LATKIT_CAP", ""))
-    except ValueError:
+    """``LATKIT_CAP`` when set and not empty, else 100,000.  A value that is
+    not a non-negative integer is a usage error, as a bad ``--cap`` is."""
+    text = os.environ.get("LATKIT_CAP", "")
+    if not text:
         return 100000
+    try:
+        cap = int(text)
+    except ValueError:
+        raise SystemExit(_usage_error(f"LATKIT_CAP must be an integer, not {text!r}"))
+    return _non_negative(cap, "LATKIT_CAP")
+
+
+def _non_negative(cap: int, what: str) -> int:
+    if cap < 0:
+        raise SystemExit(_usage_error(f"{what} must be non-negative"))
+    return cap
 
 
 def _cap(args) -> int:
     """``--cap`` when given, else ``LATKIT_CAP`` or the default."""
     if args.cap is None:
         return _default_cap()
-    if args.cap < 0:
-        raise SystemExit(_usage_error("--cap must be non-negative"))
-    return args.cap
+    return _non_negative(args.cap, "--cap")
 
 
 def _load_json(path: str) -> Any:

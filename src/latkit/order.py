@@ -117,7 +117,9 @@ class FinitePoset:
     Rejects cover lists that contain a cycle or a transitively implied pair.
     """
 
-    __slots__ = ("elements", "covers", "_index", "_order", "_pos", "_up", "_down")
+    __slots__ = (
+        "elements", "covers", "_index", "_order", "_pos", "_up", "_down", "_lower", "_upper"
+    )
 
     def __init__(self, elements: Iterable[str], covers: Iterable[Sequence[str]]):
         self.elements = tuple(sorted(elements))
@@ -137,19 +139,22 @@ class FinitePoset:
         self.covers = tuple(sorted(set(cov)))
 
         n = len(self.elements)
+        # succ[i] (pred[i]): indices of the upper (lower) covers of element
+        # i, ascending because the covers are sorted and indices follow names
         succ = [[] for _ in range(n)]
-        pred_count = [0] * n
+        pred = [[] for _ in range(n)]
         for lo, hi in self.covers:
-            succ[self._index[lo]].append(self._index[hi])
-            pred_count[self._index[hi]] += 1
+            i, j = self._index[lo], self._index[hi]
+            succ[i].append(j)
+            pred[j].append(i)
         # Kahn with lexicographic tie-break gives a deterministic linear
         # extension; leftovers mean a cycle, i.e. antisymmetry fails.
         import heapq
 
-        ready = [i for i in range(n) if pred_count[i] == 0]
+        ready = [i for i in range(n) if not pred[i]]
         heapq.heapify(ready)
         order: list[int] = []
-        counts = pred_count[:]
+        counts = [len(p) for p in pred]
         while ready:
             i = heapq.heappop(ready)
             order.append(i)
@@ -166,9 +171,6 @@ class FinitePoset:
 
         # down[i]: bitmask over *positions* of elements <= element i
         down = [0] * n
-        pred = [[] for _ in range(n)]
-        for lo, hi in self.covers:
-            pred[self._index[hi]].append(self._index[lo])
         for i in order:
             m = 1 << pos[i]
             for j in pred[i]:
@@ -182,12 +184,15 @@ class FinitePoset:
             up[i] = m
         self._down = down
         self._up = up
+        # tuples: a dual shares them, and they are smaller than lists
+        self._lower = tuple(map(tuple, pred))
+        self._upper = tuple(map(tuple, succ))
 
-        for lo, hi in self.covers:
-            i, j = self._index[lo], self._index[hi]
-            between = up[i] & down[j] & ~(1 << pos[i]) & ~(1 << pos[j])
-            if between:
-                raise InvalidPoset(f"cover ({lo!r}, {hi!r}) is transitively implied")
+        for i, js in enumerate(succ):  # in the sorted order of the covers
+            for j in js:
+                if up[i] & down[j] & ~(1 << pos[i]) & ~(1 << pos[j]):
+                    lo, hi = self.elements[i], self.elements[j]
+                    raise InvalidPoset(f"cover ({lo!r}, {hi!r}) is transitively implied")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FinitePoset":
@@ -223,22 +228,45 @@ class FinitePoset:
         return bool(self._down[self.index(b)] >> self._pos[self.index(a)] & 1)
 
     def lower_covers(self, e: str) -> tuple[str, ...]:
-        return tuple(lo for lo, hi in self.covers if hi == e)
+        return tuple(self.elements[j] for j in self._lower[self.index(e)])
 
     def upper_covers(self, e: str) -> tuple[str, ...]:
-        return tuple(hi for lo, hi in self.covers if lo == e)
+        return tuple(self.elements[j] for j in self._upper[self.index(e)])
 
     def dual(self) -> "FinitePoset":
-        return FinitePoset(self.elements, [(hi, lo) for lo, hi in self.covers])
+        """The order reversed, as a transpose of this poset's tables.
+
+        Elements and ids stay; covers, cover lists, down-sets and up-sets
+        swap sides.  The reversed linear extension is a linear extension of
+        the reversed order, so position ``p`` becomes ``n-1-p`` and every
+        mask is bit-reversed over ``n`` bits.  The dual of a valid poset is
+        valid, so no check runs again.  Nothing reads positions except
+        through sorted id lists, the single extreme bit of a principal
+        ideal or filter and the two ends of the extension, so the result
+        answers exactly as ``FinitePoset(elements, flipped covers)``."""
+        n = len(self.elements)
+        width = f"0{n}b"
+
+        def flip(m: int) -> int:
+            return int(format(m, width)[::-1], 2)
+
+        d = object.__new__(FinitePoset)
+        d.elements, d._index = self.elements, self._index
+        d.covers = tuple(sorted((hi, lo) for lo, hi in self.covers))
+        d._order = self._order[::-1]
+        d._pos = [n - 1 - p for p in self._pos]
+        d._down = [flip(m) for m in self._up]
+        d._up = [flip(m) for m in self._down]
+        d._lower, d._upper = self._upper, self._lower
+        return d
 
     def heights(self) -> dict[str, int]:
         """Length of the longest chain below each element."""
-        h = {e: 0 for e in self.elements}
+        h = [0] * len(self.elements)
         for i in self._order:
-            e = self.elements[i]
-            for c in self.lower_covers(e):
-                h[e] = max(h[e], h[c] + 1)
-        return h
+            for c in self._lower[i]:
+                h[i] = max(h[i], h[c] + 1)
+        return dict(zip(self.elements, h))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -369,7 +397,20 @@ class FiniteLattice:
         return FiniteLattice(self.poset, generators)
 
     def dual(self) -> "FiniteLattice":
-        return FiniteLattice(self.poset.dual(), self.generators)
+        """The order-dual lattice, as a transpose: the dual poset, with this
+        lattice's meet table as its join table and the other way round, top
+        and bottom exchanged.  The tables are shared, never copied, and
+        nothing writes to them after construction.
+
+        The generators stay and are not checked again: a set generates
+        ``L`` under meet and join exactly when it generates the dual under
+        the same two operations exchanged."""
+        d = object.__new__(FiniteLattice)
+        d.poset = self.poset.dual()
+        d._meet, d._join = self._join, self._meet
+        d.bottom, d.top = self.top, self.bottom
+        d.generators = self.generators
+        return d
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -476,17 +517,13 @@ def evaluate_term(L: FiniteLattice, assignment: Mapping[str, str], t: Term) -> s
 
 def join_irreducibles(L: FiniteLattice) -> tuple[str, ...]:
     """Elements other than bottom with a unique lower cover."""
-    return tuple(
-        e
-        for e in L.elements
-        if e != L.bottom and len(L.poset.lower_covers(e)) == 1
-    )
+    lower = L.poset._lower
+    return tuple(e for i, e in enumerate(L.elements) if len(lower[i]) == 1)
 
 
 def meet_irreducibles(L: FiniteLattice) -> tuple[str, ...]:
-    return tuple(
-        e for e in L.elements if e != L.top and len(L.poset.upper_covers(e)) == 1
-    )
+    upper = L.poset._upper
+    return tuple(e for i, e in enumerate(L.elements) if len(upper[i]) == 1)
 
 
 def _antichains(
@@ -569,34 +606,37 @@ def d_relation(L: FiniteLattice) -> dict[str, tuple[str, ...]]:
 def _d_relation_with_witnesses(L: FiniteLattice):
     """Edge ``p -> q`` holds iff some ``x`` satisfies ``p <= x v q`` but
     ``p !<= x v q*`` (``q*`` the lower cover of ``q``) and ``p !<= q``; the
-    witness ``x`` is recorded for certificate checking."""
+    first such ``x`` in element order is recorded as the witness, for
+    certificate checking."""
     p_ = L.poset
-    ji = join_irreducibles(L)
-    ji_idx = [p_.index(q) for q in ji]
+    els, down, pos, order, lower = p_.elements, p_._down, p_._pos, p_._order, p_._lower
+    ji = [i for i in range(len(els)) if len(lower[i]) == 1]
     ji_mask = 0
-    for i in ji_idx:
-        ji_mask |= 1 << p_._pos[i]
-    down, pos, order = p_._down, p_._pos, p_._order
-    edges: dict[str, set[str]] = {q: set() for q in ji}
+    for i in ji:
+        ji_mask |= 1 << pos[i]
+    edges: dict[str, list[str]] = {els[i]: [] for i in ji}
     witness: dict[tuple[str, str], str] = {}
-    for q in ji:
-        qi = p_.index(q)
-        qstar = p_.index(L.poset.lower_covers(q)[0])
+    for qi in ji:
+        q = els[qi]
+        row, row_star = L._join[qi], L._join[lower[qi][0]]
+        # targets: the ``p`` with no edge to ``q`` found yet
         targets = ji_mask & ~down[qi]
-        if not targets:
-            continue
-        for x in L.elements:
-            xi = p_.index(x)
-            u = L._join[xi][qi]
-            ustar = L._join[xi][qstar]
+        for xi, (u, ustar) in enumerate(zip(row, row_star)):
+            if not targets:
+                break
             wm = down[u] & ~down[ustar] & targets
+            if not wm:
+                continue
+            targets &= ~wm
+            x = els[xi]
             while wm:
                 low = wm & -wm
-                pel = p_.elements[order[low.bit_length() - 1]]
-                edges[pel].add(q)
-                witness.setdefault((pel, q), x)
-                wm &= wm - 1
-    return {q: tuple(sorted(v)) for q, v in edges.items()}, witness
+                pel = els[order[low.bit_length() - 1]]
+                edges[pel].append(q)
+                witness[(pel, q)] = x
+                wm ^= low
+    # each list grew in element order of ``q``
+    return {p: tuple(qs) for p, qs in edges.items()}, witness
 
 
 @dataclass(frozen=True)
@@ -721,24 +761,48 @@ def _antichain_scan(L: FiniteLattice, p_mask: int) -> ConditionReport:
     ``t, join(T')`` (a comparable pair escapes at once); each escape is an
     escape for ``(S, T)`` or a smaller instance, and an interpolating
     generator of a smaller instance interpolates for ``(S, T)`` too
-    (Whitman 1941; Freese, Ježek and Nation, *Free Lattices*, ch. 1)."""
+    (Whitman 1941; Freese, Ježek and Nation, *Free Lattices*, ch. 1).
+
+    The pairs ``T`` are grouped by their join.  For each ``S`` only the
+    groups whose join passes the tests on ``S`` are searched, and the
+    earliest failing ``T`` over them is the one a full scan would meet
+    first; on ``M_n`` every join of a pair lies above both ``s``, so no
+    group is searched at all."""
     p_ = L.poset
-    down, up, pos, els = p_._down, p_._up, p_._pos, p_.elements
-    items = [
-        ((els[i], els[j]), 1 << pos[i] | 1 << pos[j], L._meet[i][j], L._join[i][j])
-        for i in range(len(els))
-        for j in range(i + 1, len(els))
-        if L._meet[i][j] not in (i, j)
+    down, up, pos, order, els = p_._down, p_._up, p_._pos, p_._order, p_.elements
+    meet, join = L._meet, L._join
+    # incomparable pairs i < j in lexicographic order; by_join[u] lists, in
+    # that order, the indices into ``pairs`` of the pairs whose join is u
+    pairs = [
+        (i, j) for i in range(len(els)) for j in range(i + 1, len(els))
+        if meet[i][j] not in (i, j)
     ]
-    for S, s_mask, m_idx, _ in items:
-        for T, t_mask, _, j_idx in items:
-            if not (down[j_idx] >> pos[m_idx]) & 1:
-                continue  # meet not below join
-            if s_mask & down[j_idx]:
-                continue  # some s below the join
-            if t_mask & up[m_idx]:
-                continue  # meet below some t
-            if up[m_idx] & down[j_idx] & p_mask:
-                continue  # interpolating generator
-            return ConditionReport(False, (S, T))
+    by_join: dict[int, list[int]] = {}
+    join_mask = 0
+    for k, (i, j) in enumerate(pairs):
+        u = join[i][j]
+        by_join.setdefault(u, []).append(k)
+        join_mask |= 1 << pos[u]
+    for s1, s2 in pairs:
+        m = meet[s1][s2]
+        above = up[m]
+        # joins above the meet, above neither s and with no generator between
+        cands = above & ~up[s1] & ~up[s2] & join_mask
+        best = len(pairs)
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            u = order[low.bit_length() - 1]
+            if above & down[u] & p_mask:
+                continue
+            for k in by_join[u]:
+                if k >= best:
+                    break
+                t1, t2 = pairs[k]
+                if not (above >> pos[t1] & 1 or above >> pos[t2] & 1):
+                    best = k  # no t above the meet
+                    break
+        if best < len(pairs):
+            t1, t2 = pairs[best]
+            return ConditionReport(False, ((els[s1], els[s2]), (els[t1], els[t2])))
     return ConditionReport(True)

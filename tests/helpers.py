@@ -244,3 +244,98 @@ def stage_elements_oracle(ctx, idx, cap: int = 20000) -> tuple[Term, ...]:
             "stage enumeration",
         )
     return tuple(sorted(reps, key=lambda t: (term_size(t), sort_key(t))))
+
+
+def random_big_lattice(rng: random.Random, ground: int, lo: int, hi: int,
+                       p: float = 0.55) -> FiniteLattice:
+    """Random closure system on ``ground`` points with ``lo`` to ``hi``
+    members, built on set bitmasks so that 200-element lattices stay cheap:
+    random sets are added, closing under intersection each time."""
+    full = (1 << ground) - 1
+    while True:
+        fam = {full}
+        while len(fam) < lo:
+            s = sum(1 << i for i in range(ground) if rng.random() < p)
+            fam |= {s & x for x in fam}
+        if len(fam) <= hi:
+            break
+    sets = sorted(fam)
+    names = [f"e{i:03d}" for i in range(len(sets))]
+    # above[i]: indices of the sets strictly containing set i, as a bitmask
+    above = [
+        sum(1 << j for j, b in enumerate(sets) if a != b and a & b == a) for a in sets
+    ]
+    covers = []
+    for i, up in enumerate(above):
+        inner = 0
+        for j in range(len(sets)):
+            if up >> j & 1:
+                inner |= above[j]
+        covers += [(names[i], names[j]) for j in range(len(sets)) if (up & ~inner) >> j & 1]
+    return build_lattice(FinitePoset(names, covers))
+
+
+def dual_oracle(L: FiniteLattice) -> FiniteLattice:
+    """The dual rebuilt from scratch: flipped covers through the poset and
+    lattice constructors, generators checked again."""
+    return FiniteLattice(FinitePoset(L.elements, [(hi, lo) for lo, hi in L.poset.covers]),
+                         L.generators)
+
+
+def lower_covers_oracle(P: FinitePoset, e: str) -> tuple[str, ...]:
+    """Lower covers of ``e`` by a scan of the whole cover list."""
+    return tuple(lo for lo, hi in P.covers if hi == e)
+
+
+def d_relation_oracle(L: FiniteLattice):
+    """The dependency digraph with one witness per edge, by the direct
+    definition: ``p -> q`` iff some ``x`` has ``p <= x v q``,
+    ``p !<= x v q*`` and ``p !<= q``; the witness is the first such ``x``
+    in element order.  Every ``x`` is tried for every edge."""
+    ji = [e for e in L.elements if len(lower_covers_oracle(L.poset, e)) == 1]
+    edges: dict[str, set[str]] = {p: set() for p in ji}
+    witness: dict[tuple[str, str], str] = {}
+    for q in ji:
+        qstar = lower_covers_oracle(L.poset, q)[0]
+        for x in L.elements:
+            for p in ji:
+                if (L.leq(p, L.join(x, q)) and not L.leq(p, L.join(x, qstar))
+                        and not L.leq(p, q)):
+                    edges[p].add(q)
+                    witness.setdefault((p, q), x)
+    return {p: tuple(sorted(qs)) for p, qs in edges.items()}, witness
+
+
+def antichain_scan_oracle(L: FiniteLattice, p_mask: int):
+    """The full O(n^4) scan over pairs of two-element antichains behind
+    ``check_whitman`` (empty mask) and ``check_dean``: the first ``(S, T)``,
+    ``S`` outermost, with ``meet(S) <= join(T)`` and no escape."""
+    from latkit.order import ConditionReport
+
+    p_ = L.poset
+    down, up, pos, els = p_._down, p_._up, p_._pos, p_.elements
+    items = [
+        ((els[i], els[j]), 1 << pos[i] | 1 << pos[j], L._meet[i][j], L._join[i][j])
+        for i in range(len(els))
+        for j in range(i + 1, len(els))
+        if L._meet[i][j] not in (i, j)
+    ]
+    for S, s_mask, m_idx, _ in items:
+        for T, t_mask, _, j_idx in items:
+            if not (down[j_idx] >> pos[m_idx]) & 1:
+                continue  # meet not below join
+            if s_mask & down[j_idx]:
+                continue  # some s below the join
+            if t_mask & up[m_idx]:
+                continue  # meet below some t
+            if up[m_idx] & down[j_idx] & p_mask:
+                continue  # interpolating generator
+            return ConditionReport(False, (S, T))
+    return ConditionReport(True)
+
+
+def m_n(n: int) -> FiniteLattice:
+    """``M_n``: a bottom, a top and ``n`` pairwise incomparable atoms."""
+    atoms = [f"a{i:02d}" for i in range(n)]
+    return build_lattice(FinitePoset(["0", "1", *atoms],
+                                     [c for a in atoms for c in (("0", a), (a, "1"))]))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -23,7 +24,7 @@ BOWTIE = {
 }
 
 
-def run_cli(*argv, files=None, tmp_path=None):
+def run_cli(*argv, files=None, tmp_path=None, env=None):
     paths = {}
     for name, doc in (files or {}).items():
         p = tmp_path / f"{name}.json"
@@ -31,7 +32,8 @@ def run_cli(*argv, files=None, tmp_path=None):
         paths[name] = str(p)
     args = [a.format(**paths) if isinstance(a, str) else a for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-m", "latkit", *args], capture_output=True, text=True
+        [sys.executable, "-m", "latkit", *args], capture_output=True, text=True,
+        env=None if env is None else dict(os.environ, **env),
     )
     return proc
 
@@ -116,18 +118,11 @@ def test_cap_exit_code(tmp_path):
 
 
 def test_cap_env_var(tmp_path):
-    import os
-
-    p = tmp_path / "p.json"
-    p.write_text(json.dumps(ANTICHAIN3))
-    env = dict(os.environ, LATKIT_CAP="2")
-    proc = subprocess.run(
-        [sys.executable, "-m", "latkit", "fp", "bounded", str(p)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 3
+    # an empty LATKIT_CAP keeps the default cap
+    for value, code in (("2", 3), ("", 0)):
+        proc = run_cli("fp", "bounded", "{p}", files={"p": ANTICHAIN3}, tmp_path=tmp_path,
+                       env={"LATKIT_CAP": value})
+        assert proc.returncode == code, (value, proc.stderr)
 
 
 def test_hom_beta(tmp_path):
@@ -395,6 +390,8 @@ SHORT_JOIN = {"elements": ["x", "y"], "covers": [], "joins": [["x"]]}
           "--h", "0=0,1=1,a=a,b=b,c=c", "--cap", "-4"), {"m3": M3}),
         (("hom", "beta", "free:x,y", "{m3}", "--images", "x=a,x=b,y=c", "--element", "a",
           "--k", "0"), {"m3": M3}),
+        (({"LATKIT_CAP": "-1"}, "fp", "bounded", "{p}"), {"p": ANTICHAIN3}),
+        (({"LATKIT_CAP": "abc"}, "fp", "bounded", "{p}"), {"p": ANTICHAIN3}),
     ],
     ids=[
         "fp-no-covers",
@@ -424,10 +421,14 @@ SHORT_JOIN = {"elements": ["x", "y"], "covers": [], "joins": [["x"]]}
         "fp-negative-cap",
         "fiber-negative-cap",
         "hom-repeated-image",
+        "env-negative-cap",
+        "env-non-integer-cap",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, argv, files):
-    proc = run_cli(*argv, files=files, tmp_path=tmp_path)
+    # a leading mapping is set in the environment of the command
+    env, argv = (argv[0], argv[1:]) if isinstance(argv[0], dict) else (None, argv)
+    proc = run_cli(*argv, files=files, tmp_path=tmp_path, env=env)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")

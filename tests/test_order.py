@@ -1,10 +1,21 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
-from helpers import covers_from_leq, random_lattice
+from helpers import (
+    antichain_scan_oracle,
+    covers_from_leq,
+    d_relation_oracle,
+    dual_oracle,
+    lower_covers_oracle,
+    m_n,
+    random_big_lattice,
+    random_lattice,
+)
+from latkit import order
 from latkit.errors import (
     CapExceeded,
     InvalidPoset,
@@ -32,6 +43,7 @@ from latkit.order import (
     meet_irreducibles,
     minimal_generating_set,
     minimal_join_covers,
+    _d_relation_with_witnesses,
 )
 from latkit.terms import parse
 
@@ -57,6 +69,51 @@ def test_poset_rejects_unknown_elements():
 def test_poset_dual_involution():
     p = FinitePoset(["a", "b", "c"], [("a", "b"), ("a", "c")])
     assert p.dual().dual() == p
+
+
+def _facts(L: FiniteLattice):
+    """Everything a caller can read off a lattice, as plain values."""
+    P, els = L.poset, L.elements
+    return (
+        L.to_dict(), L.bottom, L.top, L.generators,
+        [[(L.meet(a, b), L.join(a, b)) for b in els] for a in els],
+        [(P.lower_covers(e), P.upper_covers(e)) for e in els],
+        P.heights(),
+    )
+
+
+def test_transposed_dual_matches_rebuilt_dual(m3, n5, fig_lattice):
+    rng = random.Random(14)
+    small = [random_lattice(rng, ground=5, min_size=3, max_size=20) for _ in range(12)]
+    small = [L.with_generators(minimal_generating_set(L)) if k % 3 == 0 else L
+             for k, L in enumerate(small)]
+    big = [random_big_lattice(rng, 14, 190, 210) for _ in range(3)]
+    assert all(190 <= len(L) <= 210 for L in big)
+    for L in [m3, n5, fig_lattice, chain(1), *small, *big]:
+        D, O = L.dual(), dual_oracle(L)
+        assert _facts(D) == _facts(O)
+        assert D.dual() == L and _facts(D.dual()) == _facts(L)
+        # the reversed extension is a linear extension of the dual order
+        pos, idx = D.poset._pos, D.poset.index
+        assert all(pos[idx(lo)] < pos[idx(hi)] for lo, hi in D.poset.covers)
+        for X in (L, D):
+            assert all(X.poset.lower_covers(e) == lower_covers_oracle(X.poset, e)
+                       for e in X.elements)
+            assert _d_relation_with_witnesses(X) == d_relation_oracle(X)
+        assert is_bounded_finite(D) == is_bounded_finite(O)
+        assert is_bounded_finite(D.dual()) == is_bounded_finite(L)
+
+
+def test_dual_is_a_transpose(monkeypatch, fig_lattice):
+    def rebuilt(*args):
+        raise AssertionError("dual() rebuilt the lattice")
+
+    monkeypatch.setattr(FiniteLattice, "__init__", rebuilt)
+    monkeypatch.setattr(FinitePoset, "__init__", rebuilt)
+    monkeypatch.setattr(order, "generated_sublattice", rebuilt)
+    D = fig_lattice.dual()
+    assert D._meet is fig_lattice._join and D._join is fig_lattice._meet
+    assert (D.bottom, D.top) == (fig_lattice.top, fig_lattice.bottom)
 
 
 # --- lattice construction ---
@@ -304,6 +361,30 @@ def test_dean_examples(m3, fig_lattice):
     # with every element designated, the meet itself interpolates
     assert check_dean(m3, m3.elements).ok
     assert check_dean(fig_lattice, [f"a{i}" for i in range(1, 8)]).ok
+
+
+def test_antichain_scan_matches_full_scan(m3, square, n5, fig_lattice):
+    rng = random.Random(41)
+    lattices = [m3, square, n5, fig_lattice, m_n(3), m_n(7), m_n(12)]
+    lattices += [random_lattice(rng, ground=5, min_size=4, max_size=24) for _ in range(30)]
+    failures = 0
+    for L in lattices:
+        for X in (L, L.dual()):
+            rep = check_whitman(X)
+            assert rep == antichain_scan_oracle(X, 0)
+            failures += not rep.ok
+            gens = minimal_generating_set(X)
+            assert check_dean(X, gens) == antichain_scan_oracle(X, X.poset._mask_of(gens))
+    assert 0 < failures < 2 * len(lattices)
+
+
+def test_whitman_on_a_wide_lattice_searches_no_join():
+    # every pair of atoms of M_60 has the top as its join, which lies above
+    # both atoms of every S; a scan of all pairs of pairs takes about 0.5 s
+    L = m_n(60)
+    start = time.perf_counter()
+    assert check_whitman(L).ok and check_dean(L, L.elements).ok
+    assert time.perf_counter() - start < 0.1
 
 
 def test_dean_not_generating(square):

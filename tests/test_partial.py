@@ -277,6 +277,20 @@ def test_leq_fp_duality(seed):
         assert leq_fp(P, s, t) == leq_fp(D, _dual_term(t), _dual_term(s))
 
 
+def test_transposed_dual_answers_as_rebuilt_dual(fig_lattice):
+    P = from_finite_lattice(fig_lattice)
+    D = P.dual()
+    flipped = FinitePoset(P.elements, [(hi, lo) for lo, hi in P.poset.covers])
+    R = PartialLattice(flipped, P.meets, P.joins)
+    assert D.to_dict() == R.to_dict()
+    rng = random.Random(16)
+    names = list(P.elements)
+    for _ in range(150):
+        s = random_term(rng, names, 3)
+        t = random_term(rng, names, 3)
+        assert leq_fp(D, s, t) == leq_fp(R, s, t)
+
+
 def _alternating(base, other, depth):
     t = gen(base)
     for i in range(depth):
