@@ -5,13 +5,13 @@ the least element of the k-th meet-closure stage of the source mapping above
 ``d`` (``alpha_k`` dually: the greatest stage element mapping below).  With
 a finite source the stages are enumerated directly.  With a free source the
 values are terms, computed by a target-side recursion: the level-k value is
-the previous one met with, for every antichain of target elements that joins
-above ``d`` without any member dominating ``d``, the join of the previous
-level at those members.  The recursion at one level reads only the previous
-level, so a simultaneous fixpoint over all target elements certifies
-stabilisation.  It is written once, for beta: alpha is the same recursion
-read in the dual target, with meets and joins (and top and bottom)
-exchanged.
+the previous one met with, for every minimal nontrivial join cover of ``d``
+made of join irreducibles, the join of the previous level at its members
+(other covers would only add redundant meetands, see :func:`_free_tables`).
+The recursion at one level reads only the previous level, so a simultaneous
+fixpoint over all target elements certifies stabilisation.  It is written
+once, for beta: alpha is the same recursion read in the dual target, with
+meets and joins (and top and bottom) exchanged.
 
 On top of the calculus sit fiber products of two epimorphisms, the finite
 generating set of a fiber product of bounded epimorphisms, the generation
@@ -42,7 +42,7 @@ from .errors import (
 from .free import FreeLattice, StageIndex, _canon, _leq, in_stage, stage_elements
 from .order import (
     FiniteLattice,
-    _antichains,
+    _join_covers,
     check_dean,
     closure,
     evaluate_term,
@@ -256,7 +256,10 @@ def _free_tables(g: Hom, k: int, lower: bool) -> dict[str, Term]:
     """Level ``k`` of the term-valued beta table of a free-source hom (the
     alpha table when not ``lower``), filling the levels below it.  Level 0
     meets the generators mapping above ``d``; each later level adds one
-    meetand per nontrivial join cover of ``d``, listed once per side."""
+    meetand per minimal nontrivial join cover of ``d`` made of join
+    irreducibles, computed once per side.  Every nontrivial cover refines to
+    such a cover, and each level is monotone in ``d`` (by induction from
+    level 0), so the meetands of the other covers lie above these."""
     if k < 0:
         raise ValueError("stage must be non-negative")
     tables = g._tables[lower]
@@ -268,12 +271,7 @@ def _free_tables(g: Hom, k: int, lower: bool) -> dict[str, Term]:
     if not lower:
         meet, join, top, bottom = join, meet, bottom, top
     if not tables:
-        antichains = list(_antichains(D))
-        g._covers[lower] = {
-            d: [E for E in antichains
-                if D.leq(d, D.join_set(E)) and not any(D.leq(d, e) for e in E)]
-            for d in D.elements
-        }
+        g._covers[lower] = _join_covers(D)
         tables.append({
             d: _canon(meet([gen(x) for x in ctx.names if D.leq(d, g.images[x])] or [top]))
             for d in D.elements
@@ -350,13 +348,11 @@ def _stable(g: Hom, d: str, k_cap: int, lower: bool) -> tuple[Term | str, int]:
 
 @dataclass(frozen=True)
 class HomBoundednessReport:
-    """Verdict on lower boundedness of a hom, with the two routes the
-    equivalence offers: stabilisation over every target element, and
-    existence of least preimages for the target's generators only."""
+    """Verdict on lower boundedness of a hom, with the level at which the
+    beta table of a free source stabilises (0 for a finite source, None
+    when the verdict is no)."""
 
     lower_bounded: bool
-    all_elements_check: bool
-    generator_check: bool
     stable_level: int | None
 
     def __bool__(self) -> bool:
@@ -375,7 +371,7 @@ def is_lower_bounded_hom(g: Hom, k_cap: int = 64) -> HomBoundednessReport:
             f"target fails the interpolation condition, witness {dean.witness}"
         )
     if not g.free_source:
-        return HomBoundednessReport(True, True, True, 0)
+        return HomBoundednessReport(True, 0)
     if g._side_bounded(True):
         k = _fixpoint(g, k_cap)
         if k is None:
@@ -383,8 +379,8 @@ def is_lower_bounded_hom(g: Hom, k_cap: int = 64) -> HomBoundednessReport:
         for p in g.target.generators:
             if g.apply(g._tables[True][k][p]) != p:
                 raise NotLowerBounded(f"stable beta value of {p!r} maps elsewhere")
-        return HomBoundednessReport(True, True, True, k)
-    return HomBoundednessReport(False, False, False, None)
+        return HomBoundednessReport(True, k)
+    return HomBoundednessReport(False, None)
 
 
 # --- pair sets and fiber products ---

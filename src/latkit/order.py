@@ -20,7 +20,7 @@ truncated closures of the inflated lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import (
     CapExceeded,
@@ -526,24 +526,6 @@ def meet_irreducibles(L: FiniteLattice) -> tuple[str, ...]:
     return tuple(e for i, e in enumerate(L.elements) if len(upper[i]) == 1)
 
 
-def _antichains(
-    L: FiniteLattice, universe: Sequence[str] | None = None
-) -> Iterator[tuple[str, ...]]:
-    """All antichains (including the empty one) from ``universe`` in
-    lexicographic order."""
-    els = sorted(universe) if universe is not None else list(L.elements)
-    n = len(els)
-
-    def rec(i: int, chosen: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-        yield chosen
-        for j in range(i, n):
-            c = els[j]
-            if all(not L.leq(c, x) and not L.leq(x, c) for x in chosen):
-                yield from rec(j + 1, chosen + (c,))
-
-    yield from rec(0, ())
-
-
 def is_join_prime(L: FiniteLattice, p: str) -> bool:
     """``p <= join(A)`` forces ``p <= a`` for some ``a`` in ``A``, for every
     set ``A``; equivalently ``p`` is not below the join of all the elements
@@ -563,37 +545,58 @@ class JoinCover:
     base: str
     cover: tuple[str, ...]
 
-    def nontrivial_in(self, L: FiniteLattice) -> bool:
-        return all(not L.leq(self.base, a) for a in self.cover)
 
-
-def minimal_join_covers(
-    L: FiniteLattice, p: str, max_size: int = 20
-) -> tuple[JoinCover, ...]:
-    """All minimal nontrivial join covers of ``p`` consisting of join
-    irreducibles: antichain covers such that every cover of ``p`` refining
-    them contains them.  Enumeration-based; meant for small lattices and as
-    the oracle for :func:`d_relation`, so it raises :class:`CapExceeded` on
-    lattices of more than ``max_size`` elements."""
+def minimal_join_covers(L: FiniteLattice, p: str) -> tuple[JoinCover, ...]:
+    """All minimal nontrivial join covers of ``p`` made of join irreducibles,
+    in lexicographic order: antichain covers that every nontrivial cover of
+    ``p`` refining them equals (see :func:`_join_covers`)."""
     if p not in set(join_irreducibles(L)):
         raise ValueError(f"{p!r} is not join irreducible")
-    if len(L) > max_size:
-        raise CapExceeded(max_size, f"subset enumeration over {len(L)} elements")
-    ji = join_irreducibles(L)
-    cands = [
-        A
-        for A in _antichains(L, ji)
-        if A and L.leq(p, L.join_set(A)) and all(not L.leq(p, a) for a in A)
-    ]
+    return tuple(JoinCover(p, C) for C in _join_covers(L)[p])
 
-    def refines(C, A):
-        return all(any(L.leq(c, a) for a in A) for c in C)
 
-    out = []
-    for A in cands:
-        if all(not (refines(C, A) and C != A) for C in cands):
-            out.append(JoinCover(p, A))
-    return tuple(out)
+def _join_covers(L: FiniteLattice) -> dict[str, list[tuple[str, ...]]]:
+    """Minimal nontrivial join covers, made of join irreducibles, of every
+    element ``d``, as id tuples in lexicographic order; the bottom's only
+    cover is the empty one.
+
+    A member ``q`` of such a cover passes the edge test of
+    :func:`_d_relation_with_witnesses` for ``p = d``, with ``x`` the join of
+    the other members (else ``q`` could be swapped for the join irreducibles
+    below ``q*``).  Antichains of these candidates grow in element order and
+    stop growing once they cover ``d``.  A cover ``C`` is minimal iff no
+    member ``c`` can be lowered: ``d !<= join(C - c) v c*``, because every
+    finer nontrivial cover that misses ``c`` lies below that join."""
+    p_ = L.poset
+    els, down, up, pos = p_.elements, p_._down, p_._up, p_._pos
+    lower, index, join = p_._lower, p_._index, L._join
+    cands, _ = _d_relation_with_witnesses(L, (1 << len(els)) - 1)
+
+    def lowered(C: tuple[int, ...], c: int) -> int:  # join(C - c) v c*
+        u = lower[c][0]
+        for e in C:
+            if e != c:
+                u = join[u][e]
+        return u
+
+    out = {}
+    for d, qs in cands.items():
+        bit = pos[index[d]]
+        qs = [index[q] for q in qs]
+        out[d] = found = []
+        # (next candidate, members, their comparables, their join), lexicographic
+        stack = [(0, (), 0, index[L.bottom])]
+        while stack:
+            start, C, near, u = stack.pop()
+            if down[u] >> bit & 1:
+                if not any(down[lowered(C, c)] >> bit & 1 for c in C):
+                    found.append(tuple(els[c] for c in C))
+                continue
+            for j in range(len(qs) - 1, start - 1, -1):
+                q = qs[j]
+                if not near >> pos[q] & 1:
+                    stack.append((j + 1, C + (q,), near | down[q] | up[q], join[u][q]))
+    return out
 
 
 def d_relation(L: FiniteLattice) -> dict[str, tuple[str, ...]]:
@@ -603,24 +606,24 @@ def d_relation(L: FiniteLattice) -> dict[str, tuple[str, ...]]:
     return edges
 
 
-def _d_relation_with_witnesses(L: FiniteLattice):
+def _d_relation_with_witnesses(L: FiniteLattice, p_mask: int | None = None):
     """Edge ``p -> q`` holds iff some ``x`` satisfies ``p <= x v q`` but
     ``p !<= x v q*`` (``q*`` the lower cover of ``q``) and ``p !<= q``; the
     first such ``x`` in element order is recorded as the witness, for
-    certificate checking."""
+    certificate checking.  ``p`` ranges over the elements whose positions
+    ``p_mask`` holds, by default the join irreducibles."""
     p_ = L.poset
     els, down, pos, order, lower = p_.elements, p_._down, p_._pos, p_._order, p_._lower
     ji = [i for i in range(len(els)) if len(lower[i]) == 1]
-    ji_mask = 0
-    for i in ji:
-        ji_mask |= 1 << pos[i]
-    edges: dict[str, list[str]] = {els[i]: [] for i in ji}
+    if p_mask is None:
+        p_mask = sum(1 << pos[i] for i in ji)
+    edges: dict[str, list[str]] = {e: [] for i, e in enumerate(els) if p_mask >> pos[i] & 1}
     witness: dict[tuple[str, str], str] = {}
     for qi in ji:
         q = els[qi]
         row, row_star = L._join[qi], L._join[lower[qi][0]]
         # targets: the ``p`` with no edge to ``q`` found yet
-        targets = ji_mask & ~down[qi]
+        targets = p_mask & ~down[qi]
         for xi, (u, ustar) in enumerate(zip(row, row_star)):
             if not targets:
                 break

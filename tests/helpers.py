@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Iterator, Sequence
 
 from latkit.order import FiniteLattice, FinitePoset, build_lattice
 from latkit.homs import Hom
@@ -304,6 +305,43 @@ def d_relation_oracle(L: FiniteLattice):
                     edges[p].add(q)
                     witness.setdefault((p, q), x)
     return {p: tuple(sorted(qs)) for p, qs in edges.items()}, witness
+
+
+def antichains_oracle(
+    L: FiniteLattice, universe: Sequence[str] | None = None
+) -> Iterator[tuple[str, ...]]:
+    """All antichains (including the empty one) from ``universe`` in
+    lexicographic order."""
+    els = sorted(universe) if universe is not None else list(L.elements)
+    n = len(els)
+
+    def rec(i: int, chosen: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
+        yield chosen
+        for j in range(i, n):
+            c = els[j]
+            if all(not L.leq(c, x) and not L.leq(x, c) for x in chosen):
+                yield from rec(j + 1, chosen + (c,))
+
+    yield from rec(0, ())
+
+
+def join_covers_oracle(L: FiniteLattice, elements=None) -> dict[str, list[tuple[str, ...]]]:
+    """Minimal nontrivial join covers made of join irreducibles of each of
+    ``elements`` (all by default), filtered from every antichain of join
+    irreducibles: keep the nontrivial covers that no other nontrivial cover
+    refines, in lexicographic order."""
+    ji = [e for e in L.elements if len(lower_covers_oracle(L.poset, e)) == 1]
+    antichains = list(antichains_oracle(L, ji))
+
+    def refines(C, A):
+        return all(any(L.leq(c, a) for a in A) for c in C)
+
+    out = {}
+    for d in elements if elements is not None else L.elements:
+        cands = [A for A in antichains
+                 if L.leq(d, L.join_set(A)) and not any(L.leq(d, a) for a in A)]
+        out[d] = [A for A in cands if not any(C != A and refines(C, A) for C in cands)]
+    return out
 
 
 def antichain_scan_oracle(L: FiniteLattice, p_mask: int):

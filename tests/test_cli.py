@@ -268,6 +268,22 @@ def test_tampered_certificate_rejected(tmp_path):
     assert check.returncode == 1
 
 
+@pytest.mark.parametrize("argv, files, verdict", [
+    (("lattice", "bounded", "{m3}"), {"m3": M3}, True),
+    (("lattice", "bounded", "{sq}", "--lower-only"), {"sq": SQUARE}, False),
+], ids=["bounded-cycles-marked-true", "lower-rank-marked-false"])
+def test_flipped_verdict_rejected(tmp_path, argv, files, verdict):
+    proc = run_cli("--json", *argv, files=files, tmp_path=tmp_path)
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] is not verdict
+    doc["verdict"] = verdict
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(doc))
+    check = run_cli("verify-certificate", str(cert_file))
+    assert check.returncode == 1
+    assert check.stdout == "certificate valid: False\n"
+
+
 def test_deterministic_output(tmp_path):
     first = run_cli(
         "--json", "lattice", "bounded", "{m3}", files={"m3": M3}, tmp_path=tmp_path
@@ -319,17 +335,6 @@ def test_fp_bounded_generators_warning_and_certificate(tmp_path, fig_lattice):
     cert_file.write_text(json.dumps(doc))
     assert run_cli("verify-certificate", str(cert_file)).returncode == 1
 
-
-
-@pytest.mark.parametrize("generators", [[], ["--generators", "(x & y);(x | z);y"]])
-def test_fp_bounded_both_side_flags_give_lower(tmp_path, generators):
-    proc = run_cli("--json", "fp", "bounded", "{p}", *generators, "--lower-only",
-                   "--upper-only", files={"p": ANTICHAIN3}, tmp_path=tmp_path)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["sides"] == ["lower"]
-    cert_file = tmp_path / "cert.json"
-    cert_file.write_text(proc.stdout)
-    assert run_cli("verify-certificate", str(cert_file)).returncode == 0
 
 def test_verify_certificate_unknown_kind(tmp_path):
     for argv, kind in (
@@ -392,6 +397,10 @@ SHORT_JOIN = {"elements": ["x", "y"], "covers": [], "joins": [["x"]]}
           "--k", "0"), {"m3": M3}),
         (({"LATKIT_CAP": "-1"}, "fp", "bounded", "{p}"), {"p": ANTICHAIN3}),
         (({"LATKIT_CAP": "abc"}, "fp", "bounded", "{p}"), {"p": ANTICHAIN3}),
+        (("lattice", "bounded", "{sq}", "--lower-only", "--upper-only"), {"sq": SQUARE}),
+        (("fp", "bounded", "{p}", "--lower-only", "--upper-only"), {"p": ANTICHAIN3}),
+        (("fp", "bounded", "{p}", "--generators", "(x & y);(x | z);y", "--lower-only",
+          "--upper-only"), {"p": ANTICHAIN3}),
     ],
     ids=[
         "fp-no-covers",
@@ -423,6 +432,9 @@ SHORT_JOIN = {"elements": ["x", "y"], "covers": [], "joins": [["x"]]}
         "hom-repeated-image",
         "env-negative-cap",
         "env-non-integer-cap",
+        "lattice-both-sides-only",
+        "fp-both-sides-only",
+        "fp-both-sides-only-generators",
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, argv, files):

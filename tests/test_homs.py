@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from helpers import congruence_quotient, random_lattice, random_onto_hom, random_term
+from helpers import (
+    antichains_oracle,
+    congruence_quotient,
+    covers_from_leq,
+    random_lattice,
+    random_onto_hom,
+    random_term,
+)
 from latkit.errors import (
     CapExceeded,
     LatkitError,
@@ -42,7 +49,8 @@ from latkit.homs import (
     verify_non_generation,
 )
 from latkit.order import (
-    _antichains,
+    FinitePoset,
+    build_lattice,
     chain,
     evaluate_term,
     is_lower_bounded_finite,
@@ -352,7 +360,7 @@ def test_beta_stabilises_along_target_stages():
 def test_finite_source_always_lower_bounded(square, two):
     g = Hom(square, two, {"0": "c0", "a": "c0", "b": "c1", "1": "c1"})
     rep = is_lower_bounded_hom(g)
-    assert rep.lower_bounded and rep.all_elements_check and rep.generator_check
+    assert rep.lower_bounded and rep.stable_level == 0
 
 
 def test_free_source_bounded_iff_target_passes(m3, square):
@@ -361,8 +369,7 @@ def test_free_source_bounded_iff_target_passes(m3, square):
     assert rep.lower_bounded and rep.stable_level is not None
     h = Hom(FreeLattice(["x", "y", "z"]), m3, {"x": "a", "y": "b", "z": "c"})
     rep = is_lower_bounded_hom(h)
-    assert not rep.lower_bounded
-    assert not rep.all_elements_check and not rep.generator_check
+    assert not rep.lower_bounded and rep.stable_level is None
 
 
 def test_interpolation_hypothesis_is_checked(fig_lattice):
@@ -627,7 +634,7 @@ def _oracle_tables(g: Hom, k: int) -> list[tuple[dict, dict]]:
         for d in D.elements:
             meetands = [prev_b[d]]
             joinands = [prev_a[d]]
-            for E in _antichains(D):
+            for E in antichains_oracle(D):
                 if D.leq(d, D.join_set(E)) and not any(D.leq(d, e) for e in E):
                     inner = [prev_b[e] for e in E]
                     meetands.append(
@@ -699,6 +706,22 @@ def test_one_sided_tables_match_two_sided_oracle():
                     assert got[0] is expect[0] and got[1] == expect[1], (trial, d, side)
             verdicts.add((is_lower_bounded_finite(D).ok, is_lower_bounded_finite(D.dual()).ok))
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_tables_on_a_target_above_20_elements(n5):
+    # N5 times a 5-element chain: 25 elements, 504 antichains for the oracle
+    C = chain(5)
+    els = [a + c for a in n5.elements for c in C.elements]
+    leq = lambda s, t: n5.leq(s[0], t[0]) and C.leq(s[1:], t[1:])
+    D = build_lattice(FinitePoset(els, covers_from_leq(els, leq)))
+    gens = minimal_generating_set(D)
+    names = [f"x{i}" for i in range(len(gens))]
+    g = Hom(FreeLattice(names), D, dict(zip(names, gens)))
+    oracle = _oracle_tables(g, 2)
+    for k in range(3):
+        for side, level_map in enumerate((beta_k, alpha_k)):
+            for d in D.elements:
+                assert level_map(g, d, k) is oracle[k][side][d], (d, k, side)
 
 
 def test_recursion_level_two_sampled_leastness(m3):

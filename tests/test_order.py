@@ -10,6 +10,7 @@ from helpers import (
     covers_from_leq,
     d_relation_oracle,
     dual_oracle,
+    join_covers_oracle,
     lower_covers_oracle,
     m_n,
     random_big_lattice,
@@ -17,7 +18,6 @@ from helpers import (
 )
 from latkit import order
 from latkit.errors import (
-    CapExceeded,
     InvalidPoset,
     NotALattice,
     NotGenerating,
@@ -44,6 +44,7 @@ from latkit.order import (
     minimal_generating_set,
     minimal_join_covers,
     _d_relation_with_witnesses,
+    _join_covers,
 )
 from latkit.terms import parse
 
@@ -249,13 +250,25 @@ def test_minimal_join_covers_examples(two, m3, square):
     assert minimal_join_covers(two, "c1") == ()
     covers = minimal_join_covers(m3, "a")
     assert [c.cover for c in covers] == [("b", "c")]
-    assert covers[0].nontrivial_in(m3)
+    assert not any(m3.leq("a", x) for x in covers[0].cover)
     assert minimal_join_covers(square, "a") == ()
 
 
 def test_minimal_join_covers_requires_irreducible(m3):
     with pytest.raises(ValueError):
         minimal_join_covers(m3, "1")
+
+
+def test_join_covers_match_antichain_oracle():
+    # every element, the bottom's empty cover and join-reducible ones included
+    rng = random.Random(15)
+    lattices = [m_n(n) for n in range(1, 9)]
+    lattices += [random_lattice(rng, ground=5, min_size=3, max_size=20) for _ in range(20)]
+    for L in lattices:
+        for X in (L, L.dual()):
+            covers = _join_covers(X)
+            assert covers == join_covers_oracle(X)
+            assert covers[X.bottom] == [()]
 
 
 def test_d_relation_examples(m3, fig_lattice):
@@ -470,11 +483,15 @@ def test_dean_matches_subset_oracle(m3, square, n5):
             assert check_dean(L, P).ok == _dean_over_subsets(L, P)
 
 
-def test_enum_cap_is_loud():
+def test_minimal_join_covers_above_20_elements():
     rng = random.Random(2)
-    L = random_lattice(rng, ground=4, min_size=5, max_size=10)
-    with pytest.raises(CapExceeded):
-        minimal_join_covers(L, join_irreducibles(L)[0], max_size=3)
+    for _ in range(3):
+        L = random_lattice(rng, ground=5, min_size=21, max_size=28)
+        for X in (L, L.dual()):
+            ji = join_irreducibles(X)
+            expected = join_covers_oracle(X, ji)
+            for p in ji:
+                assert [c.cover for c in minimal_join_covers(X, p)] == expected[p]
 
 
 # --- evaluation ---
