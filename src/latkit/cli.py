@@ -571,10 +571,26 @@ def _fp_stage_lattice(P: PartialLattice, side: str, terms, cert: dict) -> Finite
 
 
 def _reverify_sides(doc: dict, checks: list[tuple[FiniteLattice, dict]]) -> bool:
-    """Every side's certificate checks, and the verdict is yes iff each has a rank."""
-    return all(_reverify_lb(lat, cert) for lat, cert in checks) and doc["verdict"] == all(
-        cert.get("rank") is not None for _, cert in checks
-    )
+    """Every side's certificate is well formed and checks, and the verdict is
+    yes iff each has a rank."""
+    return all(
+        _well_formed(cert) and _reverify_lb(lat, cert) for lat, cert in checks
+    ) and doc["verdict"] == all(cert.get("rank") is not None for _, cert in checks)
+
+
+def _well_formed(cert) -> bool:
+    """A side's certificate is a mapping whose ``rank``, when set, maps ids to
+    ints, and whose ``cycle`` and ``witnesses``, when set, are lists of ids."""
+    if not isinstance(cert, dict):
+        return False
+    rank = cert.get("rank")
+    if rank is not None and not (
+        isinstance(rank, dict) and all(type(r) is int for r in rank.values())
+    ):
+        return False
+    seqs = (cert.get(key) for key in ("cycle", "witnesses"))
+    return all(v is None or isinstance(v, list) and all(isinstance(x, str) for x in v)
+               for v in seqs)
 
 
 def _reverify_lb(lat: FiniteLattice, cert: dict) -> bool:

@@ -16,6 +16,22 @@ same letter are pairwise incomparable, and between an ``a``-chain and a
 * ``a(i,j) <= b(k,l)`` when ``k`` is ``i`` or ``i+3`` (mod 7), ``l >= 1``
   and ``j == l + 1``.
 
+Write ``L(i)`` for the lines through point ``i`` and ``T(i)`` for the two
+of them the tight comparison reaches.  For ``k`` in ``L(i)`` the least
+``l`` with ``a(i,j) <= b(k,l)`` is ``low(i,j,k) = j - 1`` if ``k`` is in
+``T(i)`` and ``j >= 2``, else ``j``; the greatest ``j`` with that bound is
+``high(i,k,l) = l + 1`` if ``k`` is in ``T(i)`` and ``l >= 1``, else ``l``.
+Of two comparable elements the join is the larger and the meet the
+smaller.  Otherwise, with ``k`` the one line through two points and ``i``
+the one point on two lines:
+
+* ``a(i,j) v a(i',j') = b(k, max(low(i,j,k), low(i',j',k)))``;
+* ``a(i,j) v b(k,l) = b(k, max(l, low(i,j,k)))`` if ``k`` is in ``L(i)``,
+  else the top, and two lines join to the top;
+* ``b(k,l) ^ b(k',l') = a(i, min(high(i,k,l), high(i,k',l')))``;
+* ``a(i,j) ^ b(k,l) = a(i, min(j, high(i,k,l)))`` if ``k`` is in ``L(i)``,
+  else the bottom, and two points meet at the bottom.
+
 The height restriction in the tight comparison matters: without it every
 componentwise operation on kernel pairs moves both height coordinates by
 the same bounded amount, so a finite pair set could only ever generate
@@ -35,9 +51,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from typing import Iterable, Iterator
 
-from .errors import NotALattice
 from .order import FiniteLattice, FinitePoset, build_lattice, closure
 
 __all__ = [
@@ -97,32 +111,16 @@ def b_el(i: int, j: int) -> Point:
     return Point("b", i, j)
 
 
-def _lines_of(i: int) -> tuple[int, int, int]:
-    """Spokes k with a(i, _) below b(k, _): i, i+1, i+3 modulo 7 (1-based)."""
-    return _LINES[i]
-
-
-def _tight_lines_of(i: int) -> tuple[int, int]:
-    """Spokes where the order additionally reaches one step down: i, i+3."""
-    return _TIGHT[i]
-
-
-_LINES = {
-    i: tuple(sorted(((i - 1 + d) % 7) + 1 for d in (0, 1, 3))) for i in range(1, 8)
-}
-_TIGHT = {
-    i: tuple(sorted(((i - 1 + d) % 7) + 1 for d in (0, 3))) for i in range(1, 8)
-}
+# the lines through each point, and the two of them the tight comparison reaches
+_LINES = {i: tuple(sorted((i - 1 + d) % 7 + 1 for d in (0, 1, 3))) for i in range(1, 8)}
+_TIGHT = {i: tuple(sorted((i - 1 + d) % 7 + 1 for d in (0, 3))) for i in range(1, 8)}
 
 
 def fano_lattice() -> FiniteLattice:
     """The 16-element base lattice."""
     els = ["0", "1"] + [f"a{i}" for i in range(1, 8)] + [f"b{i}" for i in range(1, 8)]
-    covers = [("0", f"a{i}") for i in range(1, 8)]
-    covers += [(f"b{k}", "1") for k in range(1, 8)]
-    for i in range(1, 8):
-        for k in _lines_of(i):
-            covers.append((f"a{i}", f"b{k}"))
+    covers = [("0", f"a{i}") for i in range(1, 8)] + [(f"b{k}", "1") for k in range(1, 8)]
+    covers += [(f"a{i}", f"b{k}") for i in range(1, 8) for k in _LINES[i]]
     return build_lattice(FinitePoset(els, covers))
 
 
@@ -135,19 +133,15 @@ def leq(u: Point, v: Point) -> bool:
         return u.i == v.i and u.j <= v.j
     if u.kind == "b":  # no b-chain element sits below an a-chain element
         return False
-    if v.i in _lines_of(u.i) and u.j <= v.j:
+    if v.i in _LINES[u.i] and u.j <= v.j:
         return True
-    return v.i in _tight_lines_of(u.i) and v.j >= 1 and u.j == v.j + 1
+    return v.i in _TIGHT[u.i] and v.j >= 1 and u.j == v.j + 1
 
 
 @lru_cache(maxsize=64)
 def _elements_up_to(j_max: int) -> tuple[Point, ...]:
-    out = [BOTTOM, TOP]
-    for i in range(1, 8):
-        for j in range(j_max + 1):
-            out.append(a_el(i, j))
-            out.append(b_el(i, j))
-    return tuple(out)
+    chains = (mk(i, j) for i in range(1, 8) for j in range(j_max + 1) for mk in (a_el, b_el))
+    return (BOTTOM, TOP, *chains)
 
 
 def elements_up_to(j_max: int) -> list[Point]:
@@ -155,34 +149,45 @@ def elements_up_to(j_max: int) -> list[Point]:
     return list(_elements_up_to(j_max))
 
 
+def _low(i: int, j: int, k: int) -> int:
+    return j - 1 if j >= 2 and k in _TIGHT[i] else j
+
+
+def _high(i: int, k: int, l: int) -> int:
+    return l + 1 if l >= 1 and k in _TIGHT[i] else l
+
+
 @lru_cache(maxsize=None)
 def join(u: Point, v: Point) -> Point:
-    """Least upper bound, by bounded candidate enumeration: candidates up to
-    two above the larger input height suffice because any upper bound higher
-    in a chain can be stepped down and remain an upper bound."""
-    cap = max(u.j, v.j) + 2
-    ubs = [w for w in _elements_up_to(cap) if leq(u, w) and leq(v, w)]
-    mins = [w for w in ubs if not any(x != w and leq(x, w) for x in ubs)]
-    if len(mins) != 1:
-        raise NotALattice(str(u), str(v), "join")
-    return mins[0]
+    """Least upper bound, in closed form (see the module docstring)."""
+    if leq(u, v) or leq(v, u):
+        return v if leq(u, v) else u
+    u, v = sorted((u, v))  # incomparable chain elements, a point first if there is one
+    if u.kind == "b":
+        return TOP
+    if v.kind == "a":
+        (k,) = set(_LINES[u.i]) & set(_LINES[v.i])
+        return b_el(k, max(_low(u.i, u.j, k), _low(v.i, v.j, k)))
+    return b_el(v.i, max(v.j, _low(u.i, u.j, v.i))) if v.i in _LINES[u.i] else TOP
 
 
 @lru_cache(maxsize=None)
 def meet(u: Point, v: Point) -> Point:
-    cap = max(u.j, v.j) + 2
-    lbs = [w for w in _elements_up_to(cap) if leq(w, u) and leq(w, v)]
-    maxs = [w for w in lbs if not any(x != w and leq(w, x) for x in lbs)]
-    if len(maxs) != 1:
-        raise NotALattice(str(u), str(v), "meet")
-    return maxs[0]
+    """Greatest lower bound, in closed form (see the module docstring)."""
+    if leq(u, v) or leq(v, u):
+        return u if leq(u, v) else v
+    u, v = sorted((u, v))
+    if v.kind == "a":
+        return BOTTOM
+    if u.kind == "b":
+        (i,) = (p for p in _LINES if u.i in _LINES[p] and v.i in _LINES[p])
+        return a_el(i, min(_high(i, u.i, u.j), _high(i, v.i, v.j)))
+    return a_el(u.i, min(u.j, _high(u.i, v.i, v.j))) if v.i in _LINES[u.i] else BOTTOM
 
 
 def collapse(u: Point) -> str:
     """Forget the chain height: the surjection onto the base lattice."""
-    if u.kind in ("0", "1"):
-        return u.kind
-    return f"{u.kind}{u.i}"
+    return u.kind if u.kind in ("0", "1") else f"{u.kind}{u.i}"
 
 
 def inflation_generators() -> list[Point]:
@@ -191,47 +196,39 @@ def inflation_generators() -> list[Point]:
     return [a_el(i, j) for i in range(1, 8) for j in (0, 1)]
 
 
-def _closure_within(seed: Iterable[Point], j_cap: int, cap: int = 100000) -> set[Point]:
-    """Close under join and meet, discarding elements above the height cap
-    (the generation of height-j elements only ever passes through heights
-    at most j; the cap just keeps the truncation finite)."""
-    return closure(
-        seed,
-        lambda u, v: [w for w in (join(u, v), meet(u, v)) if w.j <= j_cap],
-        cap,
-        "inflated closure",
-    )
+def _tables(j_cap: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Join and meet tables over the indices of ``elements_up_to(j_cap)``,
+    with -1 for a result above the cap."""
+    els = _elements_up_to(j_cap)
+    index = {e: n for n, e in enumerate(els)}
+    joins, meets = [[-1] * len(els) for _ in els], [[-1] * len(els) for _ in els]
+    for x, u in enumerate(els):
+        for y, v in enumerate(els[: x + 1]):
+            joins[x][y] = joins[y][x] = index.get(join(u, v), -1)
+            meets[x][y] = meets[y][x] = index.get(meet(u, v), -1)
+    return joins, meets
 
 
 def check_finitely_generated(j_max: int, cap: int = 100000) -> bool:
     """Every element of height at most ``j_max`` lies in the closure of the
-    fourteen generators (closure truncated at height ``j_max + 2``)."""
+    fourteen generators, truncated at height ``j_max + 2`` (the generation
+    of height-j elements only ever passes through heights at most j; the
+    truncation just keeps the closure finite)."""
     if j_max < 2:
         raise ValueError("need j_max >= 2")
-    closed = _closure_within(inflation_generators(), j_max + 2, cap)
-    return all(e in closed for e in elements_up_to(j_max))
+    els, (joins, meets) = _elements_up_to(j_max + 2), _tables(j_max + 2)
+    closed = closure([els.index(g) for g in inflation_generators()],
+                     lambda p, q: [w for w in (joins[p][q], meets[p][q]) if w >= 0],
+                     cap, "inflated closure")
+    return all(els.index(e) in closed for e in elements_up_to(j_max))
 
 
 def kernel_generators() -> list[tuple[Point, Point]]:
     """Generating pairs for the kernel of ``collapse``: the images of the
     fourteen generators under the two embeddings that pin one coordinate of
     each chain pair to height zero."""
-    pairs = []
-    for i in range(1, 8):
-        for j in (0, 1):
-            pairs.append((a_el(i, 0), a_el(i, j)))
-            pairs.append((a_el(i, j), a_el(i, 0)))
-    return sorted(set(pairs))
-
-
-def _kernel_pairs_up_to(j_max: int) -> Iterator[tuple[Point, Point]]:
-    yield (BOTTOM, BOTTOM)
-    yield (TOP, TOP)
-    for i in range(1, 8):
-        for j in range(j_max + 1):
-            for k in range(j_max + 1):
-                yield (a_el(i, j), a_el(i, k))
-                yield (b_el(i, j), b_el(i, k))
+    pairs = {(a_el(i, 0), a_el(i, j)) for i in range(1, 8) for j in (0, 1)}
+    return sorted(pairs | {(v, u) for u, v in pairs})
 
 
 def check_kernel_finitely_generated(j_max: int, cap: int = 400000) -> bool:
@@ -240,15 +237,17 @@ def check_kernel_finitely_generated(j_max: int, cap: int = 400000) -> bool:
     ``j_max + 2`` in each coordinate)."""
     if j_max < 2:
         raise ValueError("need j_max >= 2")
-    j_cap = j_max + 2
+    els, (joins, meets) = _elements_up_to(j_max + 2), _tables(j_max + 2)
 
-    def products(u, v):
-        (u1, u2), (v1, v2) = u, v
-        pairs = ((join(u1, v1), join(u2, v2)), (meet(u1, v1), meet(u2, v2)))
-        return [w for w in pairs if w[0].j <= j_cap and w[1].j <= j_cap]
+    def products(p, q):
+        (p1, p2), (q1, q2) = p, q
+        pairs = ((joins[p1][q1], joins[p2][q2]), (meets[p1][q1], meets[p2][q2]))
+        return [w for w in pairs if w[0] >= 0 and w[1] >= 0]
 
-    closed = closure(kernel_generators(), products, cap, "kernel closure")
-    return all(p in closed for p in _kernel_pairs_up_to(j_max))
+    seed = [(els.index(u), els.index(v)) for u, v in kernel_generators()]
+    closed = {(els[p], els[q]) for p, q in closure(seed, products, cap, "kernel closure")}
+    checked = elements_up_to(j_max)
+    return all((u, v) in closed for u in checked for v in checked if collapse(u) == collapse(v))
 
 
 def check_collapse_unbounded(j_max: int) -> bool:

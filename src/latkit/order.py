@@ -302,9 +302,11 @@ class FinitePoset:
 
 class FiniteLattice:
     """Finite lattice with explicit meet/join tables and a designated
-    generating set (all elements by default)."""
+    generating set (all elements by default).  ``_covers`` holds the join-cover
+    table of :func:`_join_covers` once it is asked for; equality, hashing and
+    ``to_dict`` ignore it."""
 
-    __slots__ = ("poset", "bottom", "top", "generators", "_meet", "_join")
+    __slots__ = ("poset", "bottom", "top", "generators", "_meet", "_join", "_covers")
 
     def __init__(self, poset: FinitePoset, generators: Iterable[str] | None = None):
         self.poset = poset
@@ -334,6 +336,7 @@ class FiniteLattice:
                 join[i][j] = join[j][i] = mu
         self._meet = meet
         self._join = join
+        self._covers = None
         # with every meet and join present, the ends of the linear extension
         # are the unique minimal and maximal elements
         self.bottom = poset.elements[order[0]]
@@ -408,6 +411,7 @@ class FiniteLattice:
         d = object.__new__(FiniteLattice)
         d.poset = self.poset.dual()
         d._meet, d._join = self._join, self._meet
+        d._covers = None
         d.bottom, d.top = self.top, self.bottom
         d.generators = self.generators
         return d
@@ -566,7 +570,12 @@ def _join_covers(L: FiniteLattice) -> dict[str, list[tuple[str, ...]]]:
     below ``q*``).  Antichains of these candidates grow in element order and
     stop growing once they cover ``d``.  A cover ``C`` is minimal iff no
     member ``c`` can be lowered: ``d !<= join(C - c) v c*``, because every
-    finer nontrivial cover that misses ``c`` lies below that join."""
+    finer nontrivial cover that misses ``c`` lies below that join.
+
+    Built once per lattice object and kept in ``L._covers``; callers must
+    not change it."""
+    if L._covers is not None:
+        return L._covers
     p_ = L.poset
     els, down, up, pos = p_.elements, p_._down, p_._up, p_._pos
     lower, index, join = p_._lower, p_._index, L._join
@@ -596,6 +605,7 @@ def _join_covers(L: FiniteLattice) -> dict[str, list[tuple[str, ...]]]:
                 q = qs[j]
                 if not near >> pos[q] & 1:
                     stack.append((j + 1, C + (q,), near | down[q] | up[q], join[u][q]))
+    L._covers = out
     return out
 
 

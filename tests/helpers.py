@@ -12,6 +12,8 @@ import random
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from latkit import inflated as inf
+from latkit.errors import NotALattice
 from latkit.order import FiniteLattice, FinitePoset, build_lattice
 from latkit.homs import Hom
 from latkit.terms import Gen, Join, Meet, Term, gen, join_of, meet_of, sort_key
@@ -377,3 +379,24 @@ def m_n(n: int) -> FiniteLattice:
     atoms = [f"a{i:02d}" for i in range(n)]
     return build_lattice(FinitePoset(["0", "1", *atoms],
                                      [c for a in atoms for c in (("0", a), (a, "1"))]))
+
+
+def inflated_join_oracle(u: inf.Point, v: inf.Point) -> inf.Point:
+    """Least upper bound, by bounded candidate enumeration: candidates up to
+    two above the larger input height suffice because any upper bound higher
+    in a chain can be stepped down and remain an upper bound."""
+    cap = max(u.j, v.j) + 2
+    ubs = [w for w in inf._elements_up_to(cap) if inf.leq(u, w) and inf.leq(v, w)]
+    mins = [w for w in ubs if not any(x != w and inf.leq(x, w) for x in ubs)]
+    if len(mins) != 1:
+        raise NotALattice(str(u), str(v), "join")
+    return mins[0]
+
+
+def inflated_meet_oracle(u: inf.Point, v: inf.Point) -> inf.Point:
+    cap = max(u.j, v.j) + 2
+    lbs = [w for w in inf._elements_up_to(cap) if inf.leq(w, u) and inf.leq(w, v)]
+    maxs = [w for w in lbs if not any(x != w and inf.leq(w, x) for x in lbs)]
+    if len(maxs) != 1:
+        raise NotALattice(str(u), str(v), "meet")
+    return maxs[0]

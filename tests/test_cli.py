@@ -38,6 +38,15 @@ def run_cli(*argv, files=None, tmp_path=None, env=None):
     return proc
 
 
+def _in_process(argv: list[str]) -> tuple[int, str]:
+    from latkit.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 def test_lattice_bounded_m3(tmp_path):
     proc = run_cli("lattice", "bounded", "{m3}", files={"m3": M3}, tmp_path=tmp_path)
     assert proc.returncode == 1
@@ -163,6 +172,13 @@ def test_fixture_commands(tmp_path):
     proc = run_cli("fixture", "M", "--depth", "3", "--verify", "unbounded",
                    tmp_path=tmp_path)
     assert proc.returncode == 0
+    # the verdicts and documents are pinned byte for byte
+    for verify in ("generators", "kernel", "unbounded"):
+        argv = ["fixture", "M", "--verify", verify, "--depth", "3"]
+        assert _in_process(argv) == (0, f"{verify} (truncated at 3): True\n")
+        doc = {"certificate": {"depth": 3, "truncated": True}, "kind": f"fixture-{verify}",
+               "verdict": True, "witness": None}
+        assert _in_process(["--json", *argv]) == (0, json.dumps(doc, indent=2) + "\n")
 
 
 def test_witness_and_verify_certificate(tmp_path):
@@ -282,6 +298,42 @@ def test_flipped_verdict_rejected(tmp_path, argv, files, verdict):
     check = run_cli("verify-certificate", str(cert_file))
     assert check.returncode == 1
     assert check.stdout == "certificate valid: False\n"
+
+
+BAD_SIDES = {  # each stands in for one side's certificate
+    "list": [1],
+    "int": 1,
+    "string": "rank",
+    "rank-list": {"rank": ["a", "b"]},
+    "rank-strings": {"rank": {"a": "0", "b": "0"}},
+    "rank-int": {"rank": 3},
+    "cycle-string": {"cycle": "ab", "witnesses": "cc"},
+    "cycle-ints": {"cycle": [1, 2], "witnesses": ["c", "c"]},
+    "witnesses-nested": {"cycle": ["a", "b"], "witnesses": [["c"], ["c"]]},
+    "witnesses-mapping": {"cycle": ["a", "b"], "witnesses": {"c": "c"}},
+}
+
+
+@pytest.mark.parametrize("flag", ["--lower-only", "--upper-only", None])
+@pytest.mark.parametrize("bad", sorted(BAD_SIDES))
+def test_malformed_bounded_certificate_is_false(tmp_path, flag, bad):
+    # a bad side stands in for a cycle certificate (M3) and a rank certificate (square)
+    for lattice in (M3, SQUARE):
+        lat = tmp_path / "lat.json"
+        lat.write_text(json.dumps(lattice))
+        argv = ["--json", "lattice", "bounded", str(lat)] + ([flag] if flag else [])
+        doc = json.loads(_in_process(argv)[1])
+        if flag:
+            doc["certificate"] = BAD_SIDES[bad]
+        else:
+            doc["certificate"]["upper"] = BAD_SIDES[bad]
+        for verdict in (True, False):
+            doc["verdict"] = verdict
+            cert_file = tmp_path / "cert.json"
+            cert_file.write_text(json.dumps(doc))
+            assert _in_process(["verify-certificate", str(cert_file)]) == (
+                1, "certificate valid: False\n"
+            )
 
 
 def test_deterministic_output(tmp_path):

@@ -3,8 +3,10 @@ import itertools
 import pytest
 
 from latkit import inflated as inf
-from latkit.errors import NotALattice
+from latkit.errors import CapExceeded, NotALattice
 from latkit.order import check_whitman, is_lower_bounded_finite, join_irreducibles
+
+from helpers import inflated_join_oracle, inflated_meet_oracle
 
 
 def test_base_lattice_shape(fig_lattice):
@@ -88,20 +90,28 @@ def test_operations_are_bounds_within_truncation():
 
 def test_non_unique_bounds_raise_not_a_lattice(monkeypatch):
     # a broken order with two minimal upper (maximal lower) bounds must be
-    # reported as a missing join (meet), bypassing the operation caches
+    # reported as a missing join (meet) by the candidate-search oracle
     u, v = inf.a_el(1, 0), inf.a_el(2, 0)
     w1, w2 = inf.b_el(1, 0), inf.b_el(2, 0)
     monkeypatch.setattr(inf, "leq", lambda x, y: x == y or (x in (u, v) and y in (w1, w2)))
     with pytest.raises(NotALattice) as err:
-        inf.join.__wrapped__(u, v)
+        inflated_join_oracle(u, v)
     assert (err.value.pair, err.value.which) == ((str(u), str(v)), "join")
     monkeypatch.setattr(inf, "leq", lambda x, y: x == y or (x in (w1, w2) and y in (u, v)))
     with pytest.raises(NotALattice) as err:
-        inf.meet.__wrapped__(u, v)
+        inflated_meet_oracle(u, v)
     assert (err.value.pair, err.value.which) == ((str(u), str(v)), "meet")
     monkeypatch.undo()
-    assert inf.join.__wrapped__(u, v) == inf.join(u, v)
-    assert inf.meet.__wrapped__(u, v) == inf.meet(u, v)
+    assert inflated_join_oracle(u, v) == inf.join(u, v)
+    assert inflated_meet_oracle(u, v) == inf.meet(u, v)
+
+
+def test_closed_forms_match_candidate_search():
+    els = inf.elements_up_to(6)
+    for u in els:
+        for v in els:
+            assert inf.join(u, v) == inflated_join_oracle(u, v), (u, v)
+            assert inf.meet(u, v) == inflated_meet_oracle(u, v), (u, v)
 
 
 def test_collapse_examples():
@@ -142,6 +152,16 @@ def test_generators_do_not_suffice_without_closure():
 def test_finitely_generated_truncations():
     assert inf.check_finitely_generated(2)
     assert inf.check_finitely_generated(6)
+
+
+def test_truncated_closures_keep_their_sizes():
+    # at depth 2 the generators close to 72 elements and the kernel
+    # generators to 352 pairs: a cap at that size passes, one below raises
+    for check, size in ((inf.check_finitely_generated, 72),
+                        (inf.check_kernel_finitely_generated, 352)):
+        assert check(2, cap=size)
+        with pytest.raises(CapExceeded):
+            check(2, cap=size - 1)
 
 
 def test_kernel_generators_count():

@@ -271,6 +271,21 @@ def test_join_covers_match_antichain_oracle():
             assert covers[X.bottom] == [()]
 
 
+def test_join_cover_table_is_built_once_per_lattice(monkeypatch):
+    calls = []
+    scan = order._d_relation_with_witnesses
+    monkeypatch.setattr(order, "_d_relation_with_witnesses",
+                        lambda *a, **k: calls.append(1) or scan(*a, **k))
+    L, fresh = m_n(6), m_n(6)
+    expected = join_covers_oracle(L)
+    for p in join_irreducibles(L):
+        assert [c.cover for c in minimal_join_covers(L, p)] == expected[p]
+    assert len(calls) == 1
+    # the cached table is invisible to equality, hashing and serialisation
+    assert L == fresh and hash(L) == hash(fresh) and L.to_dict() == fresh.to_dict()
+    assert L.dual()._covers is None and fresh._covers is None
+
+
 def test_d_relation_examples(m3, fig_lattice):
     assert d_relation(chain(4)) == {f"c{i}": () for i in range(1, 4)}
     assert d_relation(m3) == {"a": ("b", "c"), "b": ("a", "c"), "c": ("a", "b")}
