@@ -23,6 +23,7 @@ target is not generated by a given finite pair set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -44,12 +45,12 @@ from .order import (
     FiniteLattice,
     _join_covers,
     check_dean,
-    closure,
     evaluate_term,
     generated_sublattice,
     is_lower_bounded_finite,
+    product_closure,
 )
-from .terms import Term, gen, join_of, meet_of, sort_key, term_size
+from .terms import Term, _compare, gen, join_of, meet_of, term_size
 
 __all__ = [
     "Hom",
@@ -88,6 +89,7 @@ class Hom:
         "images",
         "surjective",
         "_map",
+        "_groups",
         "_stages",
         "_dual",
         "_tables",
@@ -122,6 +124,13 @@ class Hom:
         self._bounded: list[bool | None] = [None, None]
         self._covers: list[dict[str, list[tuple[str, ...]]]] = [{}, {}]
         self._map = self._extend_finite() if isinstance(source, FiniteLattice) else None
+        # finite source: the source elements of each image, in element order
+        self._groups: dict[str, tuple[str, ...]] = {}
+        if self._map is not None:
+            groups: dict[str, list[str]] = {}
+            for e, img in self._map.items():
+                groups.setdefault(img, []).append(e)
+            self._groups = {d: tuple(es) for d, es in groups.items()}
         self.surjective = generated_sublattice(target, self.images.values()) == set(target.elements)
 
     def _extend_finite(self) -> dict[str, str]:
@@ -130,16 +139,14 @@ class Hom:
         the closure projects onto all of it; it is the graph of a
         homomorphism exactly when no source element gets two images."""
         src: FiniteLattice = self.source  # type: ignore[assignment]
-        tgt = self.target
-        graph = closure(
-            self.images.items(),
-            lambda p, q: (
-                (src.meet(p[0], q[0]), tgt.meet(p[1], q[1])),
-                (src.join(p[0], q[0]), tgt.join(p[1], q[1])),
-            ),
+        A, B = src.poset, self.target.poset
+        graph = product_closure(
+            [src, self.target], [(A._index[e], B._index[v]) for e, v in self.images.items()]
         )
         m: dict[str, str] = {}
-        for e, img in sorted(graph):
+        # indices follow names, so this is the order of the named pairs
+        for a, b in sorted(graph):
+            e, img = A.elements[a], B.elements[b]
             prev = m.setdefault(e, img)
             if prev != img:
                 raise NotAHomomorphism(
@@ -171,7 +178,7 @@ class Hom:
         if self._map is None:
             raise UnknownElement("free source: preimages are not enumerable")
         self.target.poset.index(d)
-        return tuple(e for e in self.source.elements if self._map[e] == d)  # type: ignore[union-attr]
+        return self._groups.get(d, ())
 
     # --- finite-source stage sets over the designated generators ---
 
@@ -182,15 +189,18 @@ class Hom:
         if k < 0:
             raise ValueError("stage must be non-negative")
         src: FiniteLattice = self.source  # type: ignore[assignment]
+        els, index = src.elements, src.poset._index
+
+        def close(seed: frozenset[str], **ops: bool) -> frozenset[str]:
+            closed = product_closure([src], [(index[e],) for e in seed], **ops)
+            return frozenset(els[i] for i, in closed)
+
         while len(self._stages) <= k:
             if not self._stages:
                 g = frozenset(src.generators)
             else:
-                h_prev = self._stages[-1][1]
-                g = frozenset(
-                    closure(h_prev | {src.bottom}, lambda a, b: (src.join(a, b),))
-                )
-            h = frozenset(closure(g | {src.top}, lambda a, b: (src.meet(a, b),)))
+                g = close(self._stages[-1][1] | {src.bottom}, meets=False)
+            h = close(g | {src.top}, joins=False)
             self._stages.append((g, h))
         return self._stages[k]
 
@@ -394,7 +404,12 @@ class PairSet:
     pairs: frozenset[tuple]
 
     def __iter__(self):
-        return iter(sorted(self.pairs, key=_pair_key))
+        """Pairs of ids in their natural order, pairs of terms in the
+        structural order of :func:`~latkit.terms.sort_key`, compared on an
+        explicit stack so that deep terms cannot overflow it."""
+        if any(isinstance(x, Term) for p in self.pairs for x in p):
+            return iter(sorted(self.pairs, key=cmp_to_key(_compare_pairs)))
+        return iter(sorted(self.pairs))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -410,14 +425,18 @@ class PairSet:
         return cls(frozenset((a, b) for a, b in items))
 
 
-def _pair_key(p):
-    return tuple(sort_key(x) if isinstance(x, Term) else x for x in p)
+def _compare_pairs(p, q) -> int:
+    for x, y in zip(p, q):
+        c = _compare(x, y) if isinstance(x, Term) else (x > y) - (x < y)
+        if c:
+            return c
+    return 0
 
 
 def fiber_product(g: Hom, h: Hom) -> PairSet:
     """All pairs ``(a, b)`` of source elements with ``g(a) = h(b)``.  Needs
     finite sources and a common target."""
-    return _fiber(g, h, str.__eq__)
+    return _fiber(g, h, False)
 
 
 def kernel(g: Hom) -> PairSet:
@@ -426,16 +445,27 @@ def kernel(g: Hom) -> PairSet:
 
 def order_fiber(g: Hom, h: Hom) -> PairSet:
     """All pairs with ``g(a) <= h(b)``."""
-    return _fiber(g, h, g.target.leq)
+    return _fiber(g, h, True)
 
 
-def _fiber(g: Hom, h: Hom, related) -> PairSet:
-    A = _require_finite(g)
-    B = _require_finite(h)
+def _fiber(g: Hom, h: Hom, above: bool) -> PairSet:
+    """Pairs ``(a, b)`` with ``g(a) = h(b)``, or ``g(a) <= h(b)`` when
+    ``above``, read from the image groups: each ``a`` in the group of ``d``
+    meets the group of ``d`` under ``h``, or the groups of every target
+    element above ``d``."""
+    _require_finite(g)
+    _require_finite(h)
     _require_same_target(g, h)
-    return PairSet.of(
-        (a, b) for a in A.elements for b in B.elements if related(g.apply(a), h.apply(b))
-    )
+    T, hg = g.target, h._groups
+    if above:
+        partners = {
+            d: [b for e, bs in hg.items() if T.leq(d, e) for b in bs] for d in g._groups
+        }
+    else:
+        partners = {d: hg.get(d, ()) for d in g._groups}
+    return PairSet(frozenset(
+        (a, b) for d, As in g._groups.items() for a in As for b in partners[d]
+    ))
 
 
 def sublattice_closure(
@@ -443,15 +473,8 @@ def sublattice_closure(
 ) -> PairSet:
     """Least subset of ``A x B`` containing ``pairs`` and closed under
     componentwise meet and join."""
-    am, aj, bm, bj = A._meet, A._join, B._meet, B._join
-    closed = closure(
-        [(A.poset.index(a), B.poset.index(b)) for a, b in pairs],
-        lambda p, q: (
-            (am[p[0]][q[0]], bm[p[1]][q[1]]),
-            (aj[p[0]][q[0]], bj[p[1]][q[1]]),
-        ),
-        cap,
-        "pair closure",
+    closed = product_closure(
+        [A, B], [(A.poset.index(a), B.poset.index(b)) for a, b in pairs], cap, "pair closure"
     )
     return PairSet(frozenset((A.elements[a], B.elements[b]) for a, b in closed))
 

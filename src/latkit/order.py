@@ -10,11 +10,19 @@ minimal nontrivial join covers, the join-cover dependency digraph with its
 cycle test, and the interpolation-style antichain conditions used as
 hypotheses elsewhere in the package.
 
-:func:`closure` is the one worklist behind every finite closure in the
-package: generated sublattices, the stage sets ``G_k``/``H_k``, the closure
-stages of finitely presented lattices (keyed by basis masks), sublattices
-of products spanned by pair sets, the graph of a homomorphism and the
-truncated closures of the inflated lattice.
+Closures inside a finite lattice, or a product of two, run on
+:func:`product_closure`, which reads meets and joins off ANDs of the
+down-set and up-set masks: generated sublattices (and through them the
+generator check of :class:`FiniteLattice`, ``Hom.surjective``,
+:func:`check_dean` and ``is_lower_bounded_sublattice``), the graph of a
+homomorphism with a finite source, the stage sets ``G_k``/``H_k`` and
+``sublattice_closure``.  :func:`closure` is the generic worklist, with a
+Python call per pair, for the rest: the closure stages of finitely
+presented lattices, whose members are terms keyed by basis masks, and the
+truncated closures of the inflated lattice.  A truncation there contains
+the top but is not down-closed, so a meet can leave it, and the AND of the
+truncated down-sets would name a member below the true meet that the true
+closure need not produce; the index tables mark such a product -1 instead.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ __all__ = [
     "minimal_generating_set",
     "chain",
     "closure",
+    "product_closure",
 ]
 
 X = TypeVar("X", bound=Hashable)
@@ -89,6 +98,75 @@ def closure(
                     if cap is not None and len(out) > cap:
                         raise CapExceeded(cap, what)
     return seen
+
+
+def product_closure(
+    lats: Sequence["FiniteLattice"],
+    seed: Iterable[tuple[int, ...]],
+    cap: int | None = None,
+    what: str = "closure",
+    meets: bool = True,
+    joins: bool = True,
+) -> set[tuple[int, ...]]:
+    """Least superset of ``seed`` in the product of ``lats`` closed under
+    componentwise meet (if ``meets``) and join (if ``joins``).  Members are
+    tuples of element indices, one per factor.
+
+    A member's down code is its factors' down-set masks side by side, each
+    shifted past the factors before it; its up code is built alike from the
+    up-sets.  ``↓(a∧b) = ↓a ∩ ↓b`` and ``↑(a∨b) = ↑a ∩ ↑b`` in every
+    factor, so a meet is the AND of two down codes and a join the AND of two
+    up codes.  The top of a down-set is its last position in the linear
+    extension and the bottom of an up-set its first, which decodes a code.
+
+    Members are taken in order of discovery.  For each, one set
+    comprehension ANDs its down code with those of every member up to and
+    including itself, and a second does the same with the up codes; codes
+    already seen are dropped, so no Python function runs per pair.  Raises
+    :class:`CapExceeded` (``cap``, ``what``) exactly when the closure has
+    more than ``cap`` members, on adding the first member over the cap."""
+    # per factor: shift, width mask, down-sets, up-sets, linear extension
+    spans = []
+    shift = 0
+    for L in lats:
+        p = L.poset
+        spans.append((shift, (1 << len(p)) - 1, p._down, p._up, p._order))
+        shift += len(p)
+    out: list[tuple[int, ...]] = []
+    codes: tuple[list[int], list[int]] = ([], [])  # down and up codes of ``out``
+    seen: tuple[set[int], set[int]] = (set(), set())
+
+    def add(x: tuple[int, ...]) -> None:
+        d = u = 0
+        for (s, _, down, up, _), i in zip(spans, x):
+            d |= down[i] << s
+            u |= up[i] << s
+        out.append(x)
+        for side, c in enumerate((d, u)):
+            codes[side].append(c)
+            seen[side].add(c)
+        if cap is not None and len(out) > cap:
+            raise CapExceeded(cap, what)
+
+    def decode(c: int, side: int) -> tuple[int, ...]:
+        x = []
+        for s, w, _, _, order in spans:
+            seg = c >> s & w
+            x.append(order[(seg if side == 0 else seg & -seg).bit_length() - 1])
+        return tuple(x)
+
+    for x in dict.fromkeys(seed):
+        add(x)
+    sides = [side for side, on in ((0, meets), (1, joins)) if on]
+    i = 0
+    while i < len(out):
+        for side in sides:
+            cs = codes[side]
+            c = cs[i]
+            for nc in {c & o for o in cs[: i + 1]} - seen[side]:
+                add(decode(nc, side))
+        i += 1
+    return set(out)
 
 
 def _covers_from_order(
@@ -482,9 +560,8 @@ def chain(n: int) -> FiniteLattice:
 
 def generated_sublattice(L: FiniteLattice, seed: Iterable[str]) -> set[str]:
     """Closure of ``seed`` under binary meet and join."""
-    meet, join, els = L._meet, L._join, L.poset.elements
-    closed = closure(map(L.poset.index, seed), lambda a, b: (meet[a][b], join[a][b]))
-    return {els[i] for i in closed}
+    els, index = L.poset.elements, L.poset.index
+    return {els[i] for i, in product_closure([L], [(index(e),) for e in seed])}
 
 
 def minimal_generating_set(L: FiniteLattice) -> tuple[str, ...]:

@@ -400,3 +400,35 @@ def inflated_meet_oracle(u: inf.Point, v: inf.Point) -> inf.Point:
     if len(maxs) != 1:
         raise NotALattice(str(u), str(v), "meet")
     return maxs[0]
+
+
+def product_closure_oracle(lats, seed, cap=None, what="closure", meets=True, joins=True):
+    """The table closures that :func:`latkit.order.product_closure`
+    replaced: :func:`latkit.order.closure` over index tuples, each product
+    read from the factors' meet and join tables by one Python call per
+    pair.  Same members, same ``CapExceeded`` condition."""
+    from latkit.order import closure
+
+    def products(p, q):
+        out = []
+        if meets:
+            out.append(tuple(L._meet[a][b] for L, a, b in zip(lats, p, q)))
+        if joins:
+            out.append(tuple(L._join[a][b] for L, a, b in zip(lats, p, q)))
+        return out
+
+    return closure(seed, products, cap, what)
+
+
+def fiber_oracle(g: Hom, h: Hom, related) -> frozenset[tuple[str, str]]:
+    """The pairs ``(a, b)`` of the two finite sources with
+    ``related(g(a), h(b))``, by the scan over the whole product."""
+    return frozenset(
+        (a, b) for a in g.source.elements for b in h.source.elements
+        if related(g.apply(a), h.apply(b))
+    )
+
+
+def preimage_oracle(g: Hom, d: str) -> tuple[str, ...]:
+    """The source elements mapping to ``d``, by a scan of the source."""
+    return tuple(e for e in g.source.elements if g.apply(e) == d)

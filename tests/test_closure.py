@@ -1,6 +1,7 @@
 """The shared closure worklist against a naive "repeat until no change"
-closure, and the graph-closure hom extension against an element-by-element
-check of meet and join preservation."""
+closure, the mask closure engine against the table closures it replaced,
+and the graph-closure hom extension against an element-by-element check of
+meet and join preservation."""
 
 import random
 
@@ -8,10 +9,16 @@ import pytest
 
 from latkit.errors import CapExceeded, NotAHomomorphism
 from latkit.homs import Hom, sublattice_closure
-from latkit.order import closure, evaluate_term, generated_sublattice, minimal_generating_set
+from latkit.order import (
+    closure,
+    evaluate_term,
+    generated_sublattice,
+    minimal_generating_set,
+    product_closure,
+)
 from latkit.terms import gen, join_of, meet_of
 
-from helpers import random_lattice
+from helpers import product_closure_oracle, random_big_lattice, random_lattice
 
 
 def naive_closure(seed, ops):
@@ -53,6 +60,42 @@ def test_sublattice_closure_matches_naive():
         assert sublattice_closure(A, B, seed, cap=len(want)).pairs == want
         with pytest.raises(CapExceeded):
             sublattice_closure(A, B, seed, cap=len(want) - 1)
+
+
+def _check_against_oracle(lats, seed, meets, joins):
+    want = product_closure_oracle(lats, seed, meets=meets, joins=joins)
+    got = product_closure(lats, seed, meets=meets, joins=joins)
+    assert got == want
+    if not seed:
+        assert got == set()
+        return
+    assert product_closure(lats, seed, len(want), meets=meets, joins=joins) == want
+    with pytest.raises(CapExceeded, match="pair closure exceeded cap") as exc:
+        product_closure(lats, seed, len(want) - 1, "pair closure", meets, joins)
+    assert exc.value.cap == len(want) - 1
+
+
+@pytest.mark.parametrize("meets, joins", [(True, True), (True, False), (False, True)])
+def test_product_closure_matches_table_oracle(meets, joins):
+    rng = random.Random(53)
+    for _ in range(80):
+        lats = [
+            random_lattice(rng, ground=4, min_size=2, max_size=10)
+            for _ in range(rng.randint(1, 2))
+        ]
+        seed = [
+            tuple(rng.randrange(len(L)) for L in lats) for _ in range(rng.randint(0, 4))
+        ]
+        _check_against_oracle(lats, seed, meets, joins)
+
+
+def test_product_closure_on_codes_wider_than_a_machine_word():
+    rng = random.Random(59)
+    for _ in range(4):
+        lats = [random_big_lattice(rng, 7, 40, 60) for _ in range(2)]
+        seed = [tuple(rng.randrange(len(L)) for L in lats) for _ in range(rng.randint(2, 4))]
+        for meets, joins in [(True, True), (True, False), (False, True)]:
+            _check_against_oracle(lats, seed, meets, joins)
 
 
 def naive_is_hom(A, D, images) -> bool:

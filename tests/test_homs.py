@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import reduce
 
 import pytest
 
@@ -7,6 +8,8 @@ from helpers import (
     antichains_oracle,
     congruence_quotient,
     covers_from_leq,
+    fiber_oracle,
+    preimage_oracle,
     random_lattice,
     random_onto_hom,
     random_term,
@@ -33,6 +36,7 @@ from latkit.free import (
 )
 from latkit.homs import (
     Hom,
+    PairSet,
     alpha_k,
     alpha_stable,
     beta_k,
@@ -56,7 +60,7 @@ from latkit.order import (
     is_lower_bounded_finite,
     minimal_generating_set,
 )
-from latkit.terms import Term, gen, join_of, meet_of, parse
+from latkit.terms import Term, gen, join_of, meet_of, parse, sort_key
 
 
 def _ident(L):
@@ -444,6 +448,64 @@ def test_fiber_product_is_subdirect():
     C = fiber_product(g, h)
     assert {a for a, _ in C} == set(g.source.elements)
     assert {b for _, b in C} == set(h.source.elements)
+
+
+def _random_finite_homs(rng, D, count):
+    """Homs into ``D`` from random finite sources on minimal generating
+    sets, with random generator images: surjective or not."""
+    out = []
+    while len(out) < count:
+        A = random_lattice(rng, ground=4, min_size=2, max_size=9)
+        A = A.with_generators(minimal_generating_set(A))
+        try:
+            out.append(Hom(A, D, {x: rng.choice(D.elements) for x in A.generators}))
+        except NotAHomomorphism:
+            pass
+    return out
+
+
+def test_fibers_and_preimages_match_the_scan():
+    rng = random.Random(89)
+    surjective = set()
+    for _ in range(25):
+        D = random_lattice(rng, ground=3, min_size=2, max_size=6)
+        homs = _random_finite_homs(rng, D, 3)
+        onto = random_onto_hom(rng, D)
+        if onto is not None:
+            homs.append(onto)
+        for g in homs:
+            surjective.add(g.surjective)
+            for d in D.elements:
+                assert g.preimage(d) == preimage_oracle(g, d)
+            for h in homs:
+                assert fiber_product(g, h).pairs == fiber_oracle(g, h, str.__eq__)
+                assert order_fiber(g, h).pairs == fiber_oracle(g, h, D.leq)
+    assert surjective == {True, False}
+
+
+# --- pair sets ---
+
+
+def test_pair_set_orders_deep_terms_without_recursion(default_recursion_limit):
+    def deep(leaf):
+        return parse(reduce(
+            lambda t, i: "(%s %s %s)" % ("yx"[i % 2], "&|"[i % 2], t), range(4000), leaf
+        ))
+
+    a, b, x = deep("x"), deep("y"), gen("x")
+    assert list(PairSet.of([(a, x), (b, x)])) == [(b, x), (a, x)]
+
+
+def test_pair_set_order_on_shallow_pairs_is_the_sort_key_order():
+    rng = random.Random(97)
+    for _ in range(40):
+        pairs = {
+            (random_term(rng, "xyz", 3), random_term(rng, "xyz", 3)) for _ in range(8)
+        }
+        want = sorted(pairs, key=lambda p: (sort_key(p[0]), sort_key(p[1])))
+        assert list(PairSet.of(pairs)) == want
+    ids = {(rng.choice("abc"), rng.choice("abc")) for _ in range(8)}
+    assert list(PairSet.of(ids)) == sorted(ids)
 
 
 # --- pair-set closure ---
