@@ -2,16 +2,19 @@
 
 For an epimorphism ``g`` and a target element ``d``, ``beta_k(g, d, k)`` is
 the least element of the k-th meet-closure stage of the source mapping above
-``d`` (``alpha_k`` dually: the greatest stage element mapping below).  With
-a finite source the stages are enumerated directly.  With a free source the
-values are terms, computed by a target-side recursion: the level-k value is
-the previous one met with, for every minimal nontrivial join cover of ``d``
-made of join irreducibles, the join of the previous level at its members
-(other covers would only add redundant meetands, see :func:`_free_tables`).
-The recursion at one level reads only the previous level, so a simultaneous
-fixpoint over all target elements certifies stabilisation.  It is written
-once, for beta: alpha is the same recursion read in the dual target, with
-meets and joins (and top and bottom) exchanged.
+``d`` (``alpha_k`` dually: the join of the stage elements mapping below).
+With a finite source the stages are enumerated directly, and ``alpha_k``
+reads ``G_k``.  With a free source the values are terms, computed by a
+target-side recursion: the level-k value is the previous one met with, for
+every minimal nontrivial join cover of ``d`` made of join irreducibles, the
+join of the previous level at its members (other covers would only add
+redundant meetands, see :func:`_free_tables`).  The recursion at one level
+reads only the previous level, so a simultaneous fixpoint over all target
+elements certifies stabilisation.  It is written once, for beta: alpha is
+the same recursion read in the dual target, with meets and joins (and top
+and bottom) exchanged, so ``alpha_k`` reads ``K_k``, the stage ``H_k`` with
+meets and joins exchanged (``G_k ⊆ K_k ⊆ G_{k+1}``).  The target lattice
+keeps its dual, join covers and cycle reports for every hom onto it.
 
 On top of the calculus sit fiber products of two epimorphisms, the finite
 generating set of a fiber product of bounded epimorphisms, the generation
@@ -91,10 +94,7 @@ class Hom:
         "_map",
         "_groups",
         "_stages",
-        "_dual",
         "_tables",
-        "_bounded",
-        "_covers",
     )
 
     def __init__(
@@ -117,12 +117,9 @@ class Hom:
             target.poset.index(v)
         self.images = {k: images[k] for k in sorted(images)}
         self._stages: list[tuple[frozenset[str], frozenset[str]]] = []
-        self._dual: FiniteLattice | None = None
-        # free-source preimage tables, cycle-test verdicts and join covers,
-        # indexed by ``lower``: [0] is the alpha side, [1] the beta side
+        # free-source preimage tables, indexed by ``lower``: [0] is the alpha
+        # side, [1] the beta side
         self._tables: tuple[list[dict[str, Term]], ...] = ([], [])
-        self._bounded: list[bool | None] = [None, None]
-        self._covers: list[dict[str, list[tuple[str, ...]]]] = [{}, {}]
         self._map = self._extend_finite() if isinstance(source, FiniteLattice) else None
         # finite source: the source elements of each image, in element order
         self._groups: dict[str, tuple[str, ...]] = {}
@@ -205,19 +202,8 @@ class Hom:
         return self._stages[k]
 
     def _side(self, lower: bool) -> FiniteLattice:
-        """The target for the beta side, its dual (built once) for alpha."""
-        if lower:
-            return self.target
-        if self._dual is None:
-            self._dual = self.target.dual()
-        return self._dual
-
-    def _side_bounded(self, lower: bool) -> bool:
-        """Whether :meth:`_side` passes the cycle test, run once per side."""
-        ok = self._bounded[lower]
-        if ok is None:
-            ok = self._bounded[lower] = is_lower_bounded_finite(self._side(lower)).ok
-        return ok
+        """The target for the beta side, its (cached) dual for alpha."""
+        return self.target if lower else self.target.dual()
 
     def __repr__(self) -> str:
         kind = "free" if self.free_source else "finite"
@@ -235,6 +221,16 @@ def _require_finite(g: Hom) -> FiniteLattice:
     return g.source  # type: ignore[return-value]
 
 
+def _require_dean(g: Hom) -> None:
+    """The target satisfies the interpolation condition (D) for its
+    generating set."""
+    dean = check_dean(g.target, g.target.generators)
+    if not dean.ok:
+        raise DeanConditionFails(
+            f"target fails the interpolation condition, witness {dean.witness}"
+        )
+
+
 # --- the alpha/beta calculus ---
 
 
@@ -244,8 +240,11 @@ def beta_k(g: Hom, d: str, k: int) -> Term | str:
 
 
 def alpha_k(g: Hom, d: str, k: int) -> Term | str:
-    """Greatest element of stage ``G_k`` of the source mapping <= ``d``.
-    At ``k = 0`` the join may fall outside the stage itself."""
+    """Join of the source elements of a stage mapping <= ``d``: of ``G_k``
+    over a finite source, where at ``k = 0`` the join may fall outside the
+    stage, and of ``K_k`` over a free one.  ``K_k`` is ``H_k`` with meets
+    and joins exchanged (``G_k ⊆ K_k ⊆ G_{k+1}``), because the free alpha
+    recursion is the beta one read in the dual target."""
     return _level(g, d, k, False)
 
 
@@ -267,9 +266,10 @@ def _free_tables(g: Hom, k: int, lower: bool) -> dict[str, Term]:
     alpha table when not ``lower``), filling the levels below it.  Level 0
     meets the generators mapping above ``d``; each later level adds one
     meetand per minimal nontrivial join cover of ``d`` made of join
-    irreducibles, computed once per side.  Every nontrivial cover refines to
-    such a cover, and each level is monotone in ``d`` (by induction from
-    level 0), so the meetands of the other covers lie above these."""
+    irreducibles, read from the side's cover table.  Every nontrivial cover
+    refines to such a cover, and each level is monotone in ``d`` (by
+    induction from level 0), so the meetands of the other covers lie above
+    these."""
     if k < 0:
         raise ValueError("stage must be non-negative")
     tables = g._tables[lower]
@@ -281,7 +281,6 @@ def _free_tables(g: Hom, k: int, lower: bool) -> dict[str, Term]:
     if not lower:
         meet, join, top, bottom = join, meet, bottom, top
     if not tables:
-        g._covers[lower] = _join_covers(D)
         tables.append({
             d: _canon(meet([gen(x) for x in ctx.names if D.leq(d, g.images[x])] or [top]))
             for d in D.elements
@@ -290,7 +289,7 @@ def _free_tables(g: Hom, k: int, lower: bool) -> dict[str, Term]:
         prev = tables[-1]
         tables.append({
             d: _canon(meet([prev[d]] + [join([prev[e] for e in E] or [bottom]) for E in Es]))
-            for d, Es in g._covers[lower].items()
+            for d, Es in _join_covers(D).items()
         })
     return tables[k]
 
@@ -346,7 +345,7 @@ def _stable(g: Hom, d: str, k_cap: int, lower: bool) -> tuple[Term | str, int]:
             if _level(g, d, k, lower) == value:
                 return value, k
         raise CapExceeded(k_cap, f"finite {name} stabilisation")
-    if not g._side_bounded(lower):
+    if not is_lower_bounded_finite(g._side(lower)).ok:
         raise NotLowerBounded(
             f"{'' if lower else 'dual '}target fails the lower-boundedness test"
         )
@@ -375,14 +374,10 @@ def is_lower_bounded_hom(g: Hom, k_cap: int = 64) -> HomBoundednessReport:
     hypothesis makes the generator-only route sound)."""
     if not g.surjective:
         raise NotSurjective("boundedness analysis needs an epimorphism")
-    dean = check_dean(g.target, g.target.generators)
-    if not dean.ok:
-        raise DeanConditionFails(
-            f"target fails the interpolation condition, witness {dean.witness}"
-        )
+    _require_dean(g)
     if not g.free_source:
         return HomBoundednessReport(True, 0)
-    if g._side_bounded(True):
+    if is_lower_bounded_finite(g.target).ok:
         k = _fixpoint(g, k_cap)
         if k is None:
             raise CapExceeded(k_cap, "beta stabilisation")
@@ -493,11 +488,7 @@ def fiber_generating_set(g: Hom, h: Hom) -> PairSet:
     _require_same_target(g, h)
     if not (g.surjective and h.surjective):
         raise NotSurjective("fiber generating set needs epimorphisms")
-    dean = check_dean(g.target, g.target.generators)
-    if not dean.ok:
-        raise DeanConditionFails(
-            f"target fails the interpolation condition, witness {dean.witness}"
-        )
+    _require_dean(g)
 
     X = set(A.generators)
     Y = set(B.generators)
@@ -588,7 +579,7 @@ def non_generation_witness(
     _require_same_target(g, h)
     if not (g.surjective and h.surjective):
         raise NotSurjective("witness construction needs epimorphisms")
-    if g._side_bounded(True):
+    if is_lower_bounded_finite(g.target).ok:
         raise TargetLowerBounded("target passes the lower-boundedness test")
     zs = list(pairs)
     n_bound = uniform_beta_bound(zs, g, h) if zs else 0

@@ -43,7 +43,6 @@ from .terms import Gen, Meet, Term, fold
 __all__ = [
     "FinitePoset",
     "FiniteLattice",
-    "JoinCover",
     "LowerBoundedReport",
     "BoundedReport",
     "ConditionReport",
@@ -380,11 +379,14 @@ class FinitePoset:
 
 class FiniteLattice:
     """Finite lattice with explicit meet/join tables and a designated
-    generating set (all elements by default).  ``_covers`` holds the join-cover
-    table of :func:`_join_covers` once it is asked for; equality, hashing and
-    ``to_dict`` ignore it."""
+    generating set (all elements by default).  The dual (:meth:`dual`), the
+    join-cover table (:func:`_join_covers`) and the lower cycle report
+    (:func:`is_lower_bounded_finite`) are built once per object when asked
+    for, in slots that equality, hashing and ``to_dict`` ignore."""
 
-    __slots__ = ("poset", "bottom", "top", "generators", "_meet", "_join", "_covers")
+    __slots__ = (
+        "poset", "bottom", "top", "generators", "_meet", "_join", "_dual", "_covers", "_report"
+    )
 
     def __init__(self, poset: FinitePoset, generators: Iterable[str] | None = None):
         self.poset = poset
@@ -414,7 +416,7 @@ class FiniteLattice:
                 join[i][j] = join[j][i] = mu
         self._meet = meet
         self._join = join
-        self._covers = None
+        self._dual = self._covers = self._report = None
         # with every meet and join present, the ends of the linear extension
         # are the unique minimal and maximal elements
         self.bottom = poset.elements[order[0]]
@@ -485,14 +487,16 @@ class FiniteLattice:
 
         The generators stay and are not checked again: a set generates
         ``L`` under meet and join exactly when it generates the dual under
-        the same two operations exchanged."""
-        d = object.__new__(FiniteLattice)
-        d.poset = self.poset.dual()
-        d._meet, d._join = self._join, self._meet
-        d._covers = None
-        d.bottom, d.top = self.top, self.bottom
-        d.generators = self.generators
-        return d
+        the same two operations exchanged.  Built once: ``L.dual()`` is
+        always the same object, and its dual is ``L``."""
+        if self._dual is None:
+            d = self._dual = object.__new__(FiniteLattice)
+            d.poset = self.poset.dual()
+            d._meet, d._join = self._join, self._meet
+            d._dual, d._covers, d._report = self, None, None
+            d.bottom, d.top = self.top, self.bottom
+            d.generators = self.generators
+        return self._dual
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -619,21 +623,13 @@ def is_meet_prime(L: FiniteLattice, p: str) -> bool:
     return is_join_prime(L.dual(), p)
 
 
-@dataclass(frozen=True)
-class JoinCover:
-    """An antichain ``cover`` with ``base <= join(cover)``."""
-
-    base: str
-    cover: tuple[str, ...]
-
-
-def minimal_join_covers(L: FiniteLattice, p: str) -> tuple[JoinCover, ...]:
+def minimal_join_covers(L: FiniteLattice, p: str) -> tuple[tuple[str, ...], ...]:
     """All minimal nontrivial join covers of ``p`` made of join irreducibles,
-    in lexicographic order: antichain covers that every nontrivial cover of
-    ``p`` refining them equals (see :func:`_join_covers`)."""
+    as id tuples in lexicographic order: antichain covers that every
+    nontrivial cover of ``p`` refining them equals (see :func:`_join_covers`)."""
     if p not in set(join_irreducibles(L)):
         raise ValueError(f"{p!r} is not join irreducible")
-    return tuple(JoinCover(p, C) for C in _join_covers(L)[p])
+    return tuple(_join_covers(L)[p])
 
 
 def _join_covers(L: FiniteLattice) -> dict[str, list[tuple[str, ...]]]:
@@ -745,6 +741,14 @@ class LowerBoundedReport:
 
 
 def is_lower_bounded_finite(L: FiniteLattice) -> LowerBoundedReport:
+    """The cycle test on the dependency digraph, run once per lattice object
+    and kept in ``L._report``; callers must not change the report."""
+    if L._report is None:
+        L._report = _cycle_test(L)
+    return L._report
+
+
+def _cycle_test(L: FiniteLattice) -> LowerBoundedReport:
     edges, witness = _d_relation_with_witnesses(L)
     nodes = sorted(edges)
     # rank 0 for sinks; each edge p -> q must have rank(p) > rank(q)

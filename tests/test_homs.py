@@ -52,7 +52,9 @@ from latkit.homs import (
     uniform_beta_bound,
     verify_non_generation,
 )
+from latkit import order
 from latkit.order import (
+    FiniteLattice,
     FinitePoset,
     build_lattice,
     chain,
@@ -60,7 +62,7 @@ from latkit.order import (
     is_lower_bounded_finite,
     minimal_generating_set,
 )
-from latkit.terms import Term, gen, join_of, meet_of, parse, sort_key
+from latkit.terms import Join, Meet, Term, fold, gen, join_of, meet_of, parse, sort_key
 
 
 def _ident(L):
@@ -675,6 +677,66 @@ def test_recursion_matches_enumeration_three_generators(m3, square, n5):
         for k in range(2):
             for d in g.target.elements:
                 assert eq_free(ctx, beta_k(g, d, k), _direct_beta(g, d, k)), (d, k)
+
+
+def _dual_term(t: Term) -> Term:
+    """``t`` with meets and joins exchanged."""
+    return fold(t, lambda u, kids: (
+        join_of(kids) if type(u) is Meet else meet_of(kids) if type(u) is Join else u))
+
+
+def test_free_alpha_reads_the_dual_of_h_k():
+    # over a free source alpha_k joins the members of K_k, the dual terms of
+    # H_k, mapping below d; K_k lies between G_k and G_{k+1}, and on some
+    # rows the join over G_k is strictly smaller
+    rng = random.Random(1901)
+    stages = {}
+    rows = below_g = 0
+    for _ in range(24):
+        D = random_lattice(rng, ground=4, min_size=3, max_size=8)
+        names = ["x", "y", "z"][: rng.randint(1, 3)]
+        ctx = FreeLattice(names)
+        g = Hom(ctx, D, {x: rng.choice(D.elements) for x in names})
+        for k in range(2):
+            if (len(names), k) not in stages:
+                stages[len(names), k] = (
+                    [_dual_term(w) for w in stage_elements(ctx, StageIndex(k, "H"))],
+                    stage_elements(ctx, StageIndex(k, "G")),
+                )
+            K, G = stages[len(names), k]
+            for d in D.elements:
+                under = [w for w in K if D.leq(g.apply(w), d)]
+                expected = _canon(join_of(under) if under else ctx.bottom_term)
+                assert alpha_k(g, d, k) is expected, (D.to_dict(), g.images, d, k)
+                in_g = [w for w in G if D.leq(g.apply(w), d)]
+                rows += 1
+                below_g += _canon(join_of(in_g) if in_g else ctx.bottom_term) is not expected
+    assert rows > 200 and below_g > 0
+
+
+def test_homs_on_one_target_share_its_tables(monkeypatch, n5):
+    # one join-irreducible scan (cycle test) and one all-element scan (join
+    # covers) on the target and on its dual, however many homs read them
+    scan = order._d_relation_with_witnesses
+    calls = []
+
+    def counted(L, p_mask=None):
+        calls.append((id(L), p_mask is None))
+        return scan(L, p_mask)
+
+    monkeypatch.setattr(order, "_d_relation_with_witnesses", counted)
+    D = FiniteLattice.from_dict(n5.to_dict())
+    homs = [
+        Hom(FreeLattice(["x", "y", "z"]), D, {"x": "a", "y": "b", "z": "c"}),
+        Hom(FreeLattice(["u", "v", "w", "t"]), D, {"u": "a", "v": "b", "w": "c", "t": "0"}),
+    ]
+    for g in homs:
+        for d in D.elements:
+            beta_stable(g, d)
+            alpha_stable(g, d)
+    assert sorted(calls) == sorted(
+        (id(X), ji) for X in (D, D.dual()) for ji in (True, False)
+    )
 
 
 def _oracle_tables(g: Hom, k: int) -> list[tuple[dict, dict]]:

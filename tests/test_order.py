@@ -249,8 +249,8 @@ def test_join_prime_matches_subset_oracle(m3, square, n5):
 def test_minimal_join_covers_examples(two, m3, square):
     assert minimal_join_covers(two, "c1") == ()
     covers = minimal_join_covers(m3, "a")
-    assert [c.cover for c in covers] == [("b", "c")]
-    assert not any(m3.leq("a", x) for x in covers[0].cover)
+    assert list(covers) == [("b", "c")]
+    assert not any(m3.leq("a", x) for x in covers[0])
     assert minimal_join_covers(square, "a") == ()
 
 
@@ -279,11 +279,29 @@ def test_join_cover_table_is_built_once_per_lattice(monkeypatch):
     L, fresh = m_n(6), m_n(6)
     expected = join_covers_oracle(L)
     for p in join_irreducibles(L):
-        assert [c.cover for c in minimal_join_covers(L, p)] == expected[p]
+        assert list(minimal_join_covers(L, p)) == expected[p]
     assert len(calls) == 1
     # the cached table is invisible to equality, hashing and serialisation
     assert L == fresh and hash(L) == hash(fresh) and L.to_dict() == fresh.to_dict()
     assert L.dual()._covers is None and fresh._covers is None
+
+
+def test_dual_and_cycle_report_are_built_once_per_lattice(fig_lattice):
+    rng = random.Random(19)
+    lattices = [m_n(4), FiniteLattice.from_dict(fig_lattice.to_dict())]
+    lattices += [random_lattice(rng, ground=4, min_size=3, max_size=12) for _ in range(4)]
+    lattices += [L.with_generators(minimal_generating_set(L)) for L in lattices[2:4]]
+    for L in lattices:
+        fresh, D = FiniteLattice.from_dict(L.to_dict()), L.dual()
+        assert L.dual() is D and D.dual() is L
+        for X in (L, D):
+            assert is_lower_bounded_finite(X) is is_lower_bounded_finite(X)
+            assert _join_covers(X) is _join_covers(X)
+        assert is_bounded_finite(L) == is_bounded_finite(fresh)
+        # the filled caches are invisible to equality, hashing and serialisation
+        assert L == fresh and hash(L) == hash(fresh) and L.to_dict() == fresh.to_dict()
+        O = dual_oracle(L)
+        assert D == O and hash(D) == hash(O) and D.to_dict() == O.to_dict()
 
 
 def test_d_relation_examples(m3, fig_lattice):
@@ -300,7 +318,7 @@ def test_d_relation_matches_cover_enumeration(m3, n5, square, fig_lattice):
     for L in lattices:
         edges = d_relation(L)
         expected = {
-            p: tuple(sorted({q for c in minimal_join_covers(L, p) for q in c.cover}))
+            p: tuple(sorted({q for c in minimal_join_covers(L, p) for q in c}))
             for p in join_irreducibles(L)
         }
         assert edges == expected
@@ -506,7 +524,7 @@ def test_minimal_join_covers_above_20_elements():
             ji = join_irreducibles(X)
             expected = join_covers_oracle(X, ji)
             for p in ji:
-                assert [c.cover for c in minimal_join_covers(X, p)] == expected[p]
+                assert list(minimal_join_covers(X, p)) == expected[p]
 
 
 # --- evaluation ---
