@@ -3,18 +3,21 @@
 For an epimorphism ``g`` and a target element ``d``, ``beta_k(g, d, k)`` is
 the least element of the k-th meet-closure stage of the source mapping above
 ``d`` (``alpha_k`` dually: the join of the stage elements mapping below).
-With a finite source the stages are enumerated directly, and ``alpha_k``
-reads ``G_k``.  With a free source the values are terms, computed by a
-target-side recursion: the level-k value is the previous one met with, for
-every minimal nontrivial join cover of ``d`` made of join irreducibles, the
-join of the previous level at its members (other covers would only add
-redundant meetands, see :func:`_free_tables`).  The recursion at one level
-reads only the previous level, so a simultaneous fixpoint over all target
-elements certifies stabilisation.  It is written once, for beta: alpha is
-the same recursion read in the dual target, with meets and joins (and top
-and bottom) exchanged, so ``alpha_k`` reads ``K_k``, the stage ``H_k`` with
-meets and joins exchanged (``G_k ⊆ K_k ⊆ G_{k+1}``).  The target lattice
-keeps its dual, join covers and cycle reports for every hom onto it.
+One target-side recursion serves finite and free sources alike, on element
+ids over a finite source and on canonical terms over a free one: the
+level-k value is the previous one met with, for every minimal nontrivial
+join cover of ``d`` made of join irreducibles, the join of the previous
+level at its members (other covers would only add redundant meetands, see
+:func:`_tables`).  The recursion at one level reads only the previous
+level, so a simultaneous fixpoint over all target elements certifies
+stabilisation.  It is written once, for beta: alpha is the same recursion
+read in the dual target, with meets and joins (and top and bottom)
+exchanged.  Over a free source it runs from level 0 alone, so ``alpha_k``
+reads ``K_k``, the stage ``H_k`` with meets and joins exchanged
+(``G_k ⊆ K_k ⊆ G_{k+1}``).  Over a finite source alpha's level 1 joins the
+``H_0`` members mapping below ``d``, so ``alpha_k`` reads ``G_k``.  The
+target lattice keeps its dual, join covers and cycle reports for every hom
+onto it.
 
 On top of the calculus sit fiber products of two epimorphisms, the finite
 generating set of a fiber product of bounded epimorphisms, the generation
@@ -93,8 +96,7 @@ class Hom:
         "surjective",
         "_map",
         "_groups",
-        "_stages",
-        "_tables",
+        "_levels",
     )
 
     def __init__(
@@ -116,10 +118,9 @@ class Hom:
         for v in images.values():
             target.poset.index(v)
         self.images = {k: images[k] for k in sorted(images)}
-        self._stages: list[tuple[frozenset[str], frozenset[str]]] = []
-        # free-source preimage tables, indexed by ``lower``: [0] is the alpha
-        # side, [1] the beta side
-        self._tables: tuple[list[dict[str, Term]], ...] = ([], [])
+        # level tables of the preimage recursion, indexed by ``lower``: [0]
+        # is the alpha side, [1] the beta side
+        self._levels: tuple[list[dict[str, Term | str]], ...] = ([], [])
         self._map = self._extend_finite() if isinstance(source, FiniteLattice) else None
         # finite source: the source elements of each image, in element order
         self._groups: dict[str, tuple[str, ...]] = {}
@@ -177,30 +178,6 @@ class Hom:
         self.target.poset.index(d)
         return self._groups.get(d, ())
 
-    # --- finite-source stage sets over the designated generators ---
-
-    def _stage(self, k: int) -> tuple[frozenset[str], frozenset[str]]:
-        """(G_k, H_k) of the finite source; G_0 is the generating set, each
-        H is the meet closure with the empty meet (top), each next G the join
-        closure with the empty join (bottom)."""
-        if k < 0:
-            raise ValueError("stage must be non-negative")
-        src: FiniteLattice = self.source  # type: ignore[assignment]
-        els, index = src.elements, src.poset._index
-
-        def close(seed: frozenset[str], **ops: bool) -> frozenset[str]:
-            closed = product_closure([src], [(index[e],) for e in seed], **ops)
-            return frozenset(els[i] for i, in closed)
-
-        while len(self._stages) <= k:
-            if not self._stages:
-                g = frozenset(src.generators)
-            else:
-                g = close(self._stages[-1][1] | {src.bottom}, meets=False)
-            h = close(g | {src.top}, joins=False)
-            self._stages.append((g, h))
-        return self._stages[k]
-
     def _side(self, lower: bool) -> FiniteLattice:
         """The target for the beta side, its (cached) dual for alpha."""
         return self.target if lower else self.target.dual()
@@ -235,60 +212,67 @@ def _require_dean(g: Hom) -> None:
 
 
 def beta_k(g: Hom, d: str, k: int) -> Term | str:
-    """Least element of stage ``H_k`` of the source mapping >= ``d``."""
+    """Least element of stage ``H_k`` of the source mapping >= ``d``: an
+    element id over a finite source, a canonical term over a free one, from
+    the same recursion (:func:`_tables`)."""
     return _level(g, d, k, True)
 
 
 def alpha_k(g: Hom, d: str, k: int) -> Term | str:
-    """Join of the source elements of a stage mapping <= ``d``: of ``G_k``
-    over a finite source, where at ``k = 0`` the join may fall outside the
-    stage, and of ``K_k`` over a free one.  ``K_k`` is ``H_k`` with meets
-    and joins exchanged (``G_k ⊆ K_k ⊆ G_{k+1}``), because the free alpha
-    recursion is the beta one read in the dual target."""
+    """Join of the source elements of a stage mapping <= ``d``: the beta
+    recursion read in the dual target.  Over a finite source level 1 joins
+    the ``H_0`` members mapping below ``d``, so the stage is ``G_k``, where
+    at ``k = 0`` the join may fall outside it.  Over a free source the
+    recursion runs from level 0 alone and reads ``K_k``, ``H_k`` with meets
+    and joins exchanged (``G_k ⊆ K_k ⊆ G_{k+1}``)."""
     return _level(g, d, k, False)
 
 
 def _level(g: Hom, d: str, k: int, lower: bool) -> Term | str:
-    """``beta_k`` when ``lower``, else ``alpha_k``: the same search read in
-    the target (``lower``) or its dual, where ``<=`` is reversed."""
     g.target.poset.index(d)
-    if g.free_source:
-        return _free_tables(g, k, lower)[d]
-    src: FiniteLattice = g.source  # type: ignore[assignment]
-    D = g._side(lower)
-    cands = [w for w in g._stage(k)[lower] if D.leq(d, g.apply(w))]  # H_k or G_k
-    # top is in every H_k, so the meet is never empty
-    return src.meet_set(cands) if lower else src.join_set(cands)
+    return _tables(g, k, lower)[d]
 
 
-def _free_tables(g: Hom, k: int, lower: bool) -> dict[str, Term]:
-    """Level ``k`` of the term-valued beta table of a free-source hom (the
-    alpha table when not ``lower``), filling the levels below it.  Level 0
-    meets the generators mapping above ``d``; each later level adds one
-    meetand per minimal nontrivial join cover of ``d`` made of join
-    irreducibles, read from the side's cover table.  Every nontrivial cover
-    refines to such a cover, and each level is monotone in ``d`` (by
-    induction from level 0), so the meetands of the other covers lie above
-    these."""
+def _tables(g: Hom, k: int, lower: bool) -> dict[str, Term | str]:
+    """Level ``k`` of the beta table of ``g`` (the alpha table when not
+    ``lower``), filling the levels below it.  Level 0 meets the generators
+    mapping above ``d``; each later level adds one meetand per minimal
+    nontrivial join cover of ``d`` made of join irreducibles, read from the
+    side's cover table.  Every nontrivial cover refines to such a cover, and
+    each level is monotone in ``d`` (by induction from level 0), so the
+    meetands of the other covers lie above these.  Values are canonical
+    terms over a free source and element ids over a finite one."""
     if k < 0:
-        raise ValueError("stage must be non-negative")
-    tables = g._tables[lower]
+        raise InvalidValue(f"level must be non-negative, got {k}")
+    tables = g._levels[lower]
     if k < len(tables):
         return tables[k]
-    ctx: FreeLattice = g.source  # type: ignore[assignment]
+    src = g.source
     D = g._side(lower)
-    meet, join, top, bottom = meet_of, join_of, ctx.top_term, ctx.bottom_term
-    if not lower:
-        meet, join, top, bottom = join, meet, bottom, top
+    if g.free_source:
+        meet, join, top, bottom = meet_of, join_of, src.top_term, src.bottom_term
+        if not lower:
+            meet, join, top, bottom = join, meet, bottom, top
+        outer = lambda ts: _canon(meet(ts or [top]))
+        inner = lambda ts: join(ts or [bottom])
+        gens = {x: gen(x) for x in src.names}
+    else:
+        outer, inner = (src.meet_set, src.join_set) if lower else (src.join_set, src.meet_set)
+        gens = {x: x for x in src.generators}
     if not tables:
         tables.append({
-            d: _canon(meet([gen(x) for x in ctx.names if D.leq(d, g.images[x])] or [top]))
-            for d in D.elements
+            d: outer([t for x, t in gens.items() if D.leq(d, g.images[x])]) for d in D.elements
         })
+    if len(tables) == 1 <= k and not (lower or g.free_source):
+        # criterion 5 reads alpha on G_k, and G_1 is the join closure of H_0
+        index = src.poset._index
+        h0 = product_closure([src], [(index[x],) for x in (*gens, src.top)], joins=False)
+        h0 = [src.elements[i] for i, in h0]
+        tables.append({d: outer([w for w in h0 if D.leq(d, g.apply(w))]) for d in D.elements})
     while len(tables) <= k:
         prev = tables[-1]
         tables.append({
-            d: _canon(meet([prev[d]] + [join([prev[e] for e in E] or [bottom]) for E in Es]))
+            d: outer([prev[d]] + [inner([prev[e] for e in E]) for E in Es])
             for d, Es in _join_covers(D).items()
         })
     return tables[k]
@@ -297,12 +281,12 @@ def _free_tables(g: Hom, k: int, lower: bool) -> dict[str, Term]:
 def _fixpoint(
     g: Hom, k_cap: int, size_cap: int | None = None, lower: bool = True
 ) -> int | None:
-    """Iterate the free-source tables of one side until two consecutive
-    levels agree on every target element.  Returns the first stable level,
-    or None when the cap (level or term size) is hit first."""
+    """Iterate the tables of one side until two consecutive levels agree on
+    every target element.  Returns the first stable level, or None when the
+    cap (level or term size) is hit first."""
     for k in range(k_cap):
-        cur, nxt = _free_tables(g, k, lower), _free_tables(g, k + 1, lower)
-        if all(cur[d] is nxt[d] for d in g.target.elements):
+        cur, nxt = _tables(g, k, lower), _tables(g, k + 1, lower)
+        if all(cur[d] == nxt[d] for d in g.target.elements):
             return k
         if size_cap is not None and any(
             term_size(nxt[d]) > size_cap for d in g.target.elements
@@ -314,10 +298,10 @@ def _fixpoint(
 def beta_stable(g: Hom, d: str, k_cap: int = 64) -> tuple[Term | str, int]:
     """Stabilised least preimage of ``d`` with the witnessing level.
 
-    Finite source: the minimum of the preimage, found by direct scan.  Free
-    source: requires a surjective hom onto a target passing the finite
-    lower-boundedness test, which guarantees the level iteration reaches a
-    simultaneous fixpoint."""
+    Finite source: the meet of the preimage, at the first level whose table
+    value equals it.  Free source: requires a surjective hom onto a target
+    passing the finite lower-boundedness test, which guarantees the level
+    iteration reaches a simultaneous fixpoint."""
     return _stable(g, d, k_cap, True)
 
 
@@ -342,7 +326,7 @@ def _stable(g: Hom, d: str, k_cap: int, lower: bool) -> tuple[Term | str, int]:
     if not g.free_source:
         value = _preimage_bound(g, d, lower)
         for k in range(k_cap):
-            if _level(g, d, k, lower) == value:
+            if _tables(g, k, lower)[d] == value:
                 return value, k
         raise CapExceeded(k_cap, f"finite {name} stabilisation")
     if not is_lower_bounded_finite(g._side(lower)).ok:
@@ -352,7 +336,7 @@ def _stable(g: Hom, d: str, k_cap: int, lower: bool) -> tuple[Term | str, int]:
     k = _fixpoint(g, k_cap, lower=lower)
     if k is None:
         raise CapExceeded(k_cap, f"{name} stabilisation")
-    return g._tables[lower][k][d], k
+    return _tables(g, k, lower)[d], k
 
 
 @dataclass(frozen=True)
@@ -382,7 +366,7 @@ def is_lower_bounded_hom(g: Hom, k_cap: int = 64) -> HomBoundednessReport:
         if k is None:
             raise CapExceeded(k_cap, "beta stabilisation")
         for p in g.target.generators:
-            if g.apply(g._tables[True][k][p]) != p:
+            if g.apply(_tables(g, k, True)[p]) != p:
                 raise NotLowerBounded(f"stable beta value of {p!r} maps elsewhere")
         return HomBoundednessReport(True, k)
     return HomBoundednessReport(False, None)
@@ -535,7 +519,7 @@ def uniform_beta_bound(pairs: Iterable[Sequence[Term]], g: Hom, h: Hom, cap: int
         if h.apply(b) != d:
             raise InvalidValue(f"pair is not in the fiber product: {(a, b)}")
         for m in range(cap + 1):
-            if _leq(_free_tables(h, m, True)[d], b):
+            if _leq(_tables(h, m, True)[d], b):
                 best = max(best, m)
                 break
         else:
@@ -602,9 +586,9 @@ def non_generation_witness(
     windows = sorted({w for w in (2, 4, 8) if w < depth_cap} | {depth_cap})
     for window in windows:
         for d, k, a in anchors:
-            base = _free_tables(h, k + n_bound, True)[d]
+            base = _tables(h, k + n_bound, True)[d]
             for m in range(k + n_bound + 1, k + n_bound + 1 + window):
-                b = _free_tables(h, m, True)[d]
+                b = _tables(h, m, True)[d]
                 if term_size(b) > 50000:
                     break  # runaway growth without reaching a preimage of d
                 if b is base or _leq(base, b):
@@ -632,6 +616,6 @@ def verify_non_generation(
     if zs and cert.n_bound < uniform_beta_bound(zs, g, h):
         return False
     # canonical forms are unique per element and interned
-    bound = _free_tables(h, cert.k + cert.n_bound, True)[cert.d]
+    bound = _tables(h, cert.k + cert.n_bound, True)[cert.d]
     b = _canon(cert.b)
     return _canon(cert.bound_term) is bound and _leq(b, bound) and not _leq(bound, b)

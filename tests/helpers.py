@@ -9,6 +9,7 @@ not share implementation shortcuts with it.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -149,6 +150,22 @@ def random_onto_hom(rng: random.Random, D: FiniteLattice, extra_ground: int = 2,
     )
     B = build_lattice(FinitePoset(els, covers_from_leq(els, leq)))
     return Hom(B, D, {e: by_name[e][0] for e in B.generators})
+
+
+def double(L: FiniteLattice, a: str, b: str) -> FiniteLattice:
+    """Day's doubling ``L[I]`` of the interval ``I = [a, b]``: the order that
+    ``L x 2`` induces on ``(L - (up(a) - I)) x {0}`` together with
+    ``up(a) x {1}``.  Elements are renamed ``e00``, ``e01``, ... in the
+    order of the pairs."""
+    from latkit.order import _covers_from_order
+
+    up = {x for x in L.elements if L.leq(a, x)}
+    pairs = sorted([(x, 0) for x in L.elements if x not in up or L.leq(x, b)]
+                   + [(x, 1) for x in up])
+    name = {p: f"e{i:02d}" for i, p in enumerate(pairs)}
+    leq = lambda p, q: p[1] <= q[1] and L.leq(p[0], q[0])
+    return build_lattice(FinitePoset(
+        list(name.values()), [(name[p], name[q]) for p, q in _covers_from_order(pairs, leq)]))
 
 
 def random_term(rng: random.Random, names, max_depth: int) -> Term:
@@ -427,6 +444,26 @@ def fiber_oracle(g: Hom, h: Hom, related) -> frozenset[tuple[str, str]]:
         (a, b) for a in g.source.elements for b in h.source.elements
         if related(g.apply(a), h.apply(b))
     )
+
+
+def stages(g: Hom, k: int) -> tuple[frozenset[str], frozenset[str]]:
+    """``(G_k, H_k)`` of a finite source over its designated generators, by
+    enumeration: ``G_0`` is the generating set, each ``H`` the meet closure
+    with the empty meet (top), each next ``G`` the join closure with the
+    empty join (bottom)."""
+    return _source_stages(g.source, k)
+
+
+@lru_cache(maxsize=None)
+def _source_stages(src: FiniteLattice, k: int) -> tuple[frozenset[str], frozenset[str]]:
+    from latkit.order import closure
+
+    if k == 0:
+        gk = frozenset(src.generators)
+    else:
+        gk = frozenset(closure(_source_stages(src, k - 1)[1] | {src.bottom},
+                               lambda a, b: (src.join(a, b),)))
+    return gk, frozenset(closure(gk | {src.top}, lambda a, b: (src.meet(a, b),)))
 
 
 def preimage_oracle(g: Hom, d: str) -> tuple[str, ...]:

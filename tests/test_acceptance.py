@@ -16,6 +16,7 @@ from helpers import (
     random_lattice,
     random_onto_hom,
     random_term,
+    stages,
 )
 from latkit import inflated as inf
 from latkit.free import FreeLattice, StageIndex, eq_free, in_stage, leq_free
@@ -229,12 +230,12 @@ def test_criterion_5_level_map_properties():
         # (iv)/(v) closed forms over the previous stage
         seen_stages = set()
         for k in range(1, 5):
-            stage_key = (g._stage(k - 1), g._stage(k))
+            stage_key = (stages(g, k - 1), stages(g, k))
             if stage_key in seen_stages:
                 continue  # saturated; identical computation
             seen_stages.add(stage_key)
-            gk_prev = sorted(g._stage(k - 1)[0])
-            hk_prev = sorted(g._stage(k - 1)[1])
+            gk_prev = sorted(stages(g, k - 1)[0])
+            hk_prev = sorted(stages(g, k - 1)[1])
             meets = _subset_values(src, gk_prev, src.meet_set)
             joins = _subset_values(src, hk_prev, src.join_set)
             for d in D.elements:
@@ -284,7 +285,7 @@ def test_criterion_6_least_preimage_identities():
         if found >= 25:
             break
         src = g.source
-        h0 = g._stage(0)[1]
+        h0 = stages(g, 0)[1]
         P = D.generators
         if not check_dean(D, P).ok:
             continue
@@ -305,7 +306,7 @@ def test_criterion_6_least_preimage_identities():
                     violations += 1
         tgt_stage_hom = Hom(D, D, {e: e for e in D.generators})
         for k in range(5):
-            for d in sorted(tgt_stage_hom._stage(k)[1]):
+            for d in sorted(stages(tgt_stage_hom, k)[1]):
                 checked += 1
                 if beta_k(g, d, k) != beta_true[d]:
                     violations += 1

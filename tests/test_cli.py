@@ -2,11 +2,15 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from helpers import double
+from latkit.order import chain, is_bounded_finite
 
 M3 = {
     "elements": ["0", "1", "a", "b", "c"],
@@ -56,6 +60,24 @@ def test_lattice_bounded_m3(tmp_path):
 def test_lattice_bounded_square(tmp_path):
     proc = run_cli("lattice", "bounded", "{sq}", files={"sq": SQUARE}, tmp_path=tmp_path)
     assert proc.returncode == 0
+
+
+def test_doubled_lattices_are_bounded_and_certified(tmp_path):
+    # Day (1979): interval doublings from the one-element lattice give the
+    # bounded lattices, an oracle sharing no code with the dependency scan
+    rng = random.Random(1979)
+    doc, cert = tmp_path / "doubled.json", tmp_path / "cert.json"
+    for _ in range(60):
+        L, size = chain(2), rng.randint(6, 20)
+        while len(L) < size:
+            a = rng.choice(L.elements)
+            L = double(L, a, rng.choice([b for b in L.elements if L.leq(a, b)]))
+        assert is_bounded_finite(L).ok, L.to_dict()
+        doc.write_text(json.dumps(L.to_dict()))
+        code, out = _in_process(["--json", "lattice", "bounded", str(doc)])
+        assert code == 0, L.to_dict()
+        cert.write_text(out)
+        assert _in_process(["verify-certificate", str(cert)])[0] == 0
 
 
 def test_lattice_check_bowtie(tmp_path):

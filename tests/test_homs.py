@@ -9,10 +9,12 @@ from helpers import (
     congruence_quotient,
     covers_from_leq,
     fiber_oracle,
+    m_n,
     preimage_oracle,
     random_lattice,
     random_onto_hom,
     random_term,
+    stages,
 )
 from latkit.errors import (
     CapExceeded,
@@ -127,6 +129,15 @@ def test_beta_one_m3(m3):
     assert beta_k(g, "a", 1) is parse("(x & (y | z))")
 
 
+def test_negative_level_is_a_latkit_error(square):
+    finite = _ident(square)
+    free = Hom(FreeLattice(["x", "y"]), square, {"x": "a", "y": "b"})
+    for g in (finite, free):
+        for level_map in (beta_k, alpha_k):
+            with pytest.raises(LatkitError):
+                level_map(g, "a", -1)
+
+
 def test_beta_stable_square(square):
     g = Hom(FreeLattice(["x", "y"]), square, {"x": "a", "y": "b"})
     value, level = beta_stable(g, "a")
@@ -232,8 +243,8 @@ def test_level_formulas_from_previous_stage():
     for D, g in _random_finite_epis(43, 6, src_max=10, tgt_max=6):
         src = g.source
         for k in range(1, 4):
-            gk_prev = sorted(g._stage(k - 1)[0])
-            hk_prev = sorted(g._stage(k - 1)[1])
+            gk_prev = sorted(stages(g, k - 1)[0])
+            hk_prev = sorted(stages(g, k - 1)[1])
             for d in D.elements:
                 for lvl in range(k):
                     parts = [alpha_k(g, d, lvl)]
@@ -294,10 +305,16 @@ def test_level_maps_match_stage_search(fig_lattice):
         if g:
             subdirect.append(g)
     homs = quotients + subdirect
-    for g in homs + [_with_minimal_generators(g) for g in homs]:
+    # wide targets, generated by their atoms: M_12 and 2^6
+    cube = [format(i, "06b") for i in range(64)]
+    cube6 = build_lattice(FinitePoset(
+        cube, [(a, a[:i] + "1" + a[i + 1:]) for a in cube for i in range(6) if a[i] == "0"]))
+    wide = [_ident(L.with_generators(L.poset.upper_covers(L.bottom))) for L in (m_n(12), cube6)]
+    runs = [(g, 6) for g in homs + [_with_minimal_generators(g) for g in homs]]
+    for g, levels in runs + [(g, 4) for g in wide]:
         src, D = g.source, g.target
-        for k in range(6):
-            G, H = g._stage(k)
+        for k in range(levels):
+            G, H = stages(g, k)
             for d in D.elements:
                 assert beta_k(g, d, k) == src.meet_set(
                     [w for w in H if D.leq(d, g.apply(w))]
@@ -319,7 +336,7 @@ def _hypothesis_instances(seed, count):
     out = []
     for D, g in _random_finite_epis(seed, count * 3):
         src = g.source
-        h0 = g._stage(0)[1]
+        h0 = stages(g, 0)[1]
         P = D.generators
         if not check_dean(D, P).ok:
             continue
@@ -355,7 +372,7 @@ def test_beta_stabilises_along_target_stages():
         # stages of the target over its own generating set
         tgt_hom = _ident(D)
         for k in range(5):
-            _, h_stage = tgt_hom._stage(k)
+            _, h_stage = stages(tgt_hom, k)
             for d in sorted(h_stage):
                 assert beta_k(g, d, k) == src.meet_set(g.preimage(d))
 
@@ -594,10 +611,10 @@ def test_claim_style_stage_pairs_land_in_closure():
         h2 = Hom(B.with_generators(by), D, {y: h.apply(y) for y in by})
         closed = sublattice_closure(A, B, z).pairs
         for k in range(3):
-            gy, hy = h2._stage(k)
+            gy, hy = stages(h2, k)
             for b in sorted(gy):
                 assert (alpha_k(g2, h2.apply(b), k), b) in closed
-            gx, hx = g2._stage(k)
+            gx, hx = stages(g2, k)
             for a in sorted(hx):
                 assert (a, beta_k(h2, g2.apply(a), k)) in closed
 
