@@ -15,6 +15,10 @@ generators, memoised on the partial lattice and computed bottom-up:
   down-set of ``w``);
 * dually its *filter*, the generators above it.
 
+The closure depends only on the union mask, so each side keeps a memo from
+union masks to closed masks and runs the fixed point over the defined
+operations once per distinct union.
+
 Pairs are then decided, for terms ``s`` and ``t``, by:
 
 * a join on the left and a meet on the right split conjunctively;
@@ -26,15 +30,19 @@ Pairs are then decided, for terms ``s`` and ``t``, by:
 
 Splits run on the explicit-stack Whitman machine shared with
 :mod:`latkit.free`; split pairs are cached on the partial lattice (truth of
-a pair never depends on which query introduced it).  The ideal walk is also
+a pair never depends on which query introduced it).  Left parts are
+subterms of ``s`` and the machine reads only their filters; right parts are
+subterms of ``t`` and it reads only their ideals.  So a query computes
+filters for the left term and ideals for the right, and that walk is also
 the name check: it raises :class:`UnknownGenerator` at an unknown generator.
 
 The module also hosts the alternating closure stages of the generated
 lattice, the standard homomorphism onto a stage, and the boundedness
 decision procedures built on them.
 
-Partial lattices are immutable apart from their append-only mask and
-answer caches, so concurrent queries are safe under the interpreter lock.
+Partial lattices are immutable apart from their append-only caches (the
+term masks, the closure memos and the answers), so concurrent queries are
+safe under the interpreter lock.
 """
 
 from __future__ import annotations
@@ -107,7 +115,7 @@ class PartialLattice:
     """
 
     __slots__ = ("poset", "joins", "meets", "_cache", "_gen_terms", "_bit", "_ideal",
-                 "_filter", "_join_rules", "_meet_rules")
+                 "_filter", "_ideal_side", "_filter_side")
 
     def __init__(
         self,
@@ -127,13 +135,17 @@ class PartialLattice:
         self._ideal: dict[Term, int] = {g: down[idx[g.name]] for g in self._gen_terms}
         self._filter: dict[Term, int] = {g: up[idx[g.name]] for g in self._gen_terms}
         # A defined join (U, w) puts down(w) into every ideal holding U;
-        # dually for meets and filters.
-        self._join_rules = tuple(
+        # dually for meets and filters.  Each side is its term table, its
+        # closing node type, its rules and the memo from a closing node's
+        # union mask to that mask closed under the rules.
+        join_rules = tuple(
             (sum(bit[q] for q in U), down[idx[w]], bit[w]) for U, w in self.joins.items()
         )
-        self._meet_rules = tuple(
+        meet_rules = tuple(
             (sum(bit[q] for q in U), up[idx[w]], bit[w]) for U, w in self.meets.items()
         )
+        self._ideal_side = (self._ideal, Join, join_rules, {})
+        self._filter_side = (self._filter, Meet, meet_rules, {})
 
     @staticmethod
     def _normalise(poset: FinitePoset, table, upper: bool):
@@ -171,7 +183,7 @@ class PartialLattice:
         return self.poset.elements
 
     def check_term(self, t: Term) -> None:
-        self._mask(t, self._ideal, Join, self._join_rules)
+        self._mask(t, self._ideal_side)
 
     def dual(self) -> "PartialLattice":
         return PartialLattice(self.poset.dual(), self.meets, self.joins)
@@ -216,12 +228,14 @@ class PartialLattice:
 
     # --- the word problem engine ---
 
-    def _mask(self, t: Term, table: dict[Term, int], closing: type, rules) -> int:
-        """Memoised ideal (filter) mask of ``t``, computed bottom-up over the
-        subterms still missing from ``table`` on an explicit stack.  A
-        ``closing`` node (join for ideals, meet for filters) takes the union
-        of its children's masks closed under ``rules``; the other kind takes
-        the intersection.  A generator missing from ``table`` is unknown."""
+    def _mask(self, t: Term, side) -> int:
+        """Memoised ideal (filter) mask of ``t`` on ``side``, computed
+        bottom-up over the subterms still missing from the side's table on
+        an explicit stack.  A closing node (join for ideals, meet for
+        filters) takes the union of its children's masks closed under the
+        side's rules, once per distinct union; the other kind takes the
+        intersection.  A generator missing from the table is unknown."""
+        table, closing, rules, closed = side
         m = table.get(t)
         if m is not None:
             return m
@@ -239,15 +253,19 @@ class PartialLattice:
             else:
                 stack.pop()
                 kids = [table[c] for c in u.children]
-                if isinstance(u, closing):
-                    m = reduce(or_, kids)
-                    grown = True
-                    while grown:
-                        grown = False
-                        for need, add, b in rules:
-                            if not m & b and m & need == need:
-                                m |= add
-                                grown = True
+                if type(u) is closing:
+                    union = reduce(or_, kids)
+                    m = closed.get(union)
+                    if m is None:
+                        m = union
+                        grown = True
+                        while grown:
+                            grown = False
+                            for need, add, b in rules:
+                                if not m & b and m & need == need:
+                                    m |= add
+                                    grown = True
+                        closed[union] = m
                 else:
                     m = reduce(and_, kids)
                 table[u] = m
@@ -264,15 +282,14 @@ class PartialLattice:
         if s is t:
             return True
         if type(s) is Gen:
-            return bool(self._mask(t, self._ideal, Join, self._join_rules) & self._bit[s.name])
+            return bool(self._mask(t, self._ideal_side) & self._bit[s.name])
         if type(t) is Gen:
-            return bool(self._mask(s, self._filter, Meet, self._meet_rules) & self._bit[t.name])
+            return bool(self._mask(s, self._filter_side) & self._bit[t.name])
         hit = self._cache.get((s, t))
         if hit is not None:
             return hit
         if type(s) is Meet and type(t) is Join and (
-            self._mask(s, self._filter, Meet, self._meet_rules)
-            & self._mask(t, self._ideal, Join, self._join_rules)
+            self._mask(s, self._filter_side) & self._mask(t, self._ideal_side)
         ):
             return True
         return None
@@ -302,9 +319,12 @@ def from_finite_lattice(L: FiniteLattice) -> PartialLattice:
 
 
 def leq_fp(P: PartialLattice, s: Term, t: Term) -> bool:
-    """Decide ``s <= t`` in the lattice freely generated by ``P``."""
-    P.check_term(s)
-    P.check_term(t)
+    """Decide ``s <= t`` in the lattice freely generated by ``P``.  The
+    split machine reads filters of left parts and ideals of right parts, so
+    the name check computes the filter of ``s`` and the ideal of ``t``; each
+    closure under the defined operations runs once per union mask."""
+    P._mask(s, P._filter_side)
+    P._mask(t, P._ideal_side)
     return P._leq(s, t)
 
 

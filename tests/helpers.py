@@ -469,3 +469,35 @@ def _source_stages(src: FiniteLattice, k: int) -> tuple[frozenset[str], frozense
 def preimage_oracle(g: Hom, d: str) -> tuple[str, ...]:
     """The source elements mapping to ``d``, by a scan of the source."""
     return tuple(e for e in g.source.elements if g.apply(e) == d)
+
+
+def fp_closure_oracle(P, names: frozenset[str], ideal: bool) -> frozenset[str]:
+    """``names`` closed under the defined joins (``ideal``) or meets of the
+    partial lattice ``P`` by the memo-free fixed point: while the arguments
+    of some defined join all lie in the set and its value does not, add
+    every element below the value (dually above a defined meet)."""
+    table = P.joins if ideal else P.meets
+    out = set(names)
+    grown = True
+    while grown:
+        grown = False
+        for U, w in table.items():
+            if w not in out and out.issuperset(U):
+                out.update(e for e in P.elements
+                           if (P.poset.leq(e, w) if ideal else P.poset.leq(w, e)))
+                grown = True
+    return frozenset(out)
+
+
+def fp_mask_oracle(P, t: Term, ideal: bool) -> frozenset[str]:
+    """The generators of ``P`` below (``ideal``) or above ``t`` in the
+    lattice ``P`` freely generates, by recursion on ``t``: a generator's
+    down-set (up-set); at a join (meet) the union of the children's sets
+    closed by :func:`fp_closure_oracle`; otherwise their intersection."""
+    if type(t) is Gen:
+        return frozenset(e for e in P.elements
+                         if (P.poset.leq(e, t.name) if ideal else P.poset.leq(t.name, e)))
+    kids = [fp_mask_oracle(P, c, ideal) for c in t.children]
+    if type(t) is (Join if ideal else Meet):
+        return fp_closure_oracle(P, frozenset().union(*kids), ideal)
+    return frozenset.intersection(*kids)

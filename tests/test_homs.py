@@ -324,6 +324,38 @@ def test_level_maps_match_stage_search(fig_lattice):
                 )
 
 
+def _k1(src):
+    """``K_1``, the stage ``H_1`` with meets and joins exchanged: the join
+    closure of the meet closure of the join closure of the generators, each
+    join closure with the bottom and the meet closure with the top."""
+    joins = lambda S: order.closure(S | {src.bottom}, lambda a, b: (src.join(a, b),))
+    return joins(order.closure(joins(set(src.generators)) | {src.top},
+                               lambda a, b: (src.meet(a, b),)))
+
+
+def test_alpha_level_one_reads_g1_not_k1():
+    # criterion 5 reads alpha on G_1: a sweep of subdirect epimorphisms on
+    # minimal generating sets, where joining the K_1 members below d gives
+    # a different value on some rows
+    rng = random.Random(24)
+    rows = differ = 0
+    while rows < 1900:
+        g = random_onto_hom(rng, random_lattice(rng, ground=4, min_size=5, max_size=10),
+                            extra_ground=3, max_size=40)
+        if not g:
+            continue
+        g = _with_minimal_generators(g)
+        src, D = g.source, g.target
+        G1, K1 = stages(g, 1)[0], _k1(src)
+        for d in D.elements:
+            on_g1 = src.join_set([w for w in G1 if D.leq(g.apply(w), d)])
+            on_k1 = src.join_set([w for w in K1 if D.leq(g.apply(w), d)])
+            assert alpha_k(g, d, 1) == on_g1
+            rows += 1
+            differ += on_g1 != on_k1
+    assert differ > 0
+
+
 # --- interpolation-hypothesis identities ---
 
 

@@ -3,7 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_terms_up_to, random_lattice, random_term
+from helpers import (
+    all_terms_up_to,
+    fp_closure_oracle,
+    fp_mask_oracle,
+    random_lattice,
+    random_term,
+)
 from latkit.errors import (
     CapExceeded,
     InvalidPartialLattice,
@@ -255,6 +261,58 @@ def test_engine_matches_naive_fixpoint_large():
                 term_to_text(s),
                 term_to_text(t),
             )
+
+
+def _names(P, mask):
+    return frozenset(e for e in P.elements if mask & P._bit[e])
+
+
+def test_mask_memo_matches_memo_free_oracle(fig_lattice):
+    # the per-side memo from union masks to closed masks must give the masks
+    # of the memo-free fixed point, over a shuffled batch of queries
+    rng = random.Random(24)
+    partials = [from_finite_lattice(fig_lattice)] + [_random_partial(rng) for _ in range(8)]
+    assert len(partials[0].joins) == len(partials[0].meets) == 120
+    for P in partials:
+        names = list(P.elements)
+        batch = [(random_term(rng, names, 3), random_term(rng, names, 3)) for _ in range(100)]
+        batch += [(t, s) for s, t in batch]
+        rng.shuffle(batch)
+        for s, t in batch:
+            leq_fp(P, s, t)
+        for ideal, side in ((True, P._ideal_side), (False, P._filter_side)):
+            table, _, _, closed = side
+            assert closed
+            for t, m in table.items():
+                assert _names(P, m) == fp_mask_oracle(P, t, ideal), (P, term_to_text(t))
+            for union, m in closed.items():
+                assert _names(P, m) == fp_closure_oracle(P, _names(P, union), ideal)
+
+
+def test_leq_fp_walks_each_side_once(m3):
+    # the left term is read only through filters and the right term only
+    # through ideals
+    rng = random.Random(25)
+    checked = 0
+    for P in (from_finite_lattice(m3), antichain(["x", "y", "z"]), _random_partial(rng)):
+        names = list(P.elements)
+        for _ in range(80):
+            s, t = random_term(rng, names, 3), random_term(rng, names, 3)
+            if (type(s) is Gen or type(t) is Gen or s in P._ideal or t in P._filter
+                    or s in subterms(t) or t in subterms(s)):
+                continue
+            leq_fp(P, s, t)
+            assert s in P._filter and t in P._ideal
+            assert s not in P._ideal and t not in P._filter
+            checked += 1
+    assert checked >= 90
+
+
+def test_unknown_generators_on_both_sides_name_the_left_term():
+    P = antichain(["x", "y"])
+    with pytest.raises(UnknownGenerator) as err:
+        leq_fp(P, parse("(x | v)"), parse("(y & w)"))
+    assert str(err.value) == "unknown generators: ['v']"
 
 
 def _dual_term(t):
