@@ -9,12 +9,15 @@ not depend on the ambient generating set.
 
 ``canonical_form`` computes the shortest equivalent term, children first,
 on :func:`latkit.terms.fold` with ``_CANON`` as the memo; like
-``alternation_rank``, it does not recurse on term depth.  For a join the
-normal form has flattened, sorted, pairwise incomparable children, and no
-compound meetand of a child lies below the whole join (dually for meets).
-Under those conditions any further redundancy of a child against the join
-of the others is impossible, the form is unique per lattice element, and
-structural equality of canonical forms coincides with ``eq_free``.
+``alternation_rank``, it does not recurse on term depth.  By the canonical
+form theorem (Freese, Ježek, Nation, *Free Lattices*, ch. 1) a join is
+canonical iff its children are canonical, flattened and pairwise
+incomparable, and no meetand of a meet child lies below the whole join
+(dually for meets).  So each node is canonicalised by the antichain test
+alone: meet children are lowered to a meetand below the join, the maximal
+children are kept, and the two steps repeat until neither changes anything.
+The form is unique per lattice element, so structural equality of
+canonical forms coincides with ``eq_free``.
 
 ``stage_elements`` closes each stage on bitmasks over the subterms of the
 previous one: by Whitman's condition (W) and the primeness of generators
@@ -187,39 +190,31 @@ def _canon_step(t: Term, kids: list[Term]) -> Term:
 
 
 def _canon_node(kids: list[Term], own: type) -> Term:
-    # For a join node (own=Join): replace a compound meetand child by one of
-    # its arguments whenever that argument is below the whole join, then drop
-    # children below the join of the rest.  Dual for meets.
+    # The antichain test of FJN ch. 1, for a join node (own=Join) of
+    # canonical children: replace each meet child by a meetand below the
+    # whole join, keep the maximal children, and repeat until neither step
+    # changes anything.  Every step keeps the element, so the first join
+    # term serves every meetand test; children are canonical terms, so
+    # distinct ones are distinct elements.  Dual for meets.
     if own is Join:
         combine, other, below = join_of, Meet, _leq
     else:
         combine, other, below = meet_of, Join, lambda a, b: _leq(b, a)
-    while True:
-        t = combine(kids)
-        if not isinstance(t, own):
-            return t  # collapsed to a single child, already canonical
-        kids = list(t.children)
-        changed = False
-        for i, k in enumerate(kids):
-            if isinstance(k, other):
-                for u in k.children:
-                    if below(u, t):
-                        kids[i] = u
-                        changed = True
-                        break
-            if changed:
-                break
-        if changed:
+    t = whole = combine(kids)
+    while isinstance(t, own):  # else collapsed to one child, already canonical
+        kids = t.children
+        lifted = tuple(
+            next((u for u in k.children if below(u, whole)), k) if type(k) is other else k
+            for k in kids
+        )
+        if lifted != kids:
+            t = combine(lifted)
             continue
-        for i, k in enumerate(kids):
-            rest = kids[:i] + kids[i + 1 :]
-            bound = rest[0] if len(rest) == 1 else combine(rest)
-            if below(k, bound):
-                kids = rest
-                changed = True
-                break
-        if not changed:
+        top = [k for k in kids if not any(k is not j and below(k, j) for j in kids)]
+        if len(top) == len(kids):
             return t
+        t = combine(top)
+    return t
 
 
 def canonical_form(ctx: FreeLattice, t: Term) -> Term:

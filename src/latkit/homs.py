@@ -17,7 +17,10 @@ reads ``K_k``, the stage ``H_k`` with meets and joins exchanged
 (``G_k ⊆ K_k ⊆ G_{k+1}``).  Over a finite source alpha's level 1 joins the
 ``H_0`` members mapping below ``d``, so ``alpha_k`` reads ``G_k``.  The
 target lattice keeps its dual, join covers and cycle reports for every hom
-onto it.
+onto it.  The level maps and the stabilisations fill whole levels; the
+certificate readers (``uniform_beta_bound``, ``non_generation_witness``,
+``verify_non_generation``) fill only the beta cells they read and the cells
+those read, so the level tables of a hom may be partial.
 
 On top of the calculus sit fiber products of two epimorphisms, the finite
 generating set of a fiber product of bounded epimorphisms, the generation
@@ -233,22 +236,53 @@ def _level(g: Hom, d: str, k: int, lower: bool) -> Term | str:
     return _tables(g, k, lower)[d]
 
 
-def _tables(g: Hom, k: int, lower: bool) -> dict[str, Term | str]:
+def _tables(
+    g: Hom, k: int, lower: bool, want: Iterable[str] | None = None
+) -> dict[str, Term | str]:
     """Level ``k`` of the beta table of ``g`` (the alpha table when not
-    ``lower``), filling the levels below it.  Level 0 meets the generators
-    mapping above ``d``; each later level adds one meetand per minimal
-    nontrivial join cover of ``d`` made of join irreducibles, read from the
-    side's cover table.  Every nontrivial cover refines to such a cover, and
-    each level is monotone in ``d`` (by induction from level 0), so the
-    meetands of the other covers lie above these.  Values are canonical
-    terms over a free source and element ids over a finite one."""
+    ``lower``), with its cells at ``want`` filled (every target element when
+    ``want`` is None).  Level 0 meets the generators mapping above ``d``;
+    each later level adds one meetand per minimal nontrivial join cover of
+    ``d`` made of join irreducibles, read from the side's cover table.
+    Every nontrivial cover refines to such a cover, and each level is
+    monotone in ``d`` (by induction from level 0), so the meetands of the
+    other covers lie above these.  Values are canonical terms over a free
+    source and element ids over a finite one.
+
+    A level-k cell at ``d`` reads level k-1 at ``d`` and at the members of
+    ``d``'s covers, so one walk down from level ``k`` collects the missing
+    cells the wanted ones read, and one pass fills them bottom-up.  Level
+    dicts may be partial: the certificate readers want single cells, and
+    every other caller wants whole levels, for which the walk reads no
+    covers."""
     if k < 0:
         raise InvalidValue(f"level must be non-negative, got {k}")
     tables = g._levels[lower]
-    if k < len(tables):
+    n = len(g.target.poset.elements)
+    if k < len(tables) and len(tables[k]) == n:
+        return tables[k]  # a whole level
+    D = g._side(lower)
+    cells = D.elements if want is None else want
+    seeded = not (lower or g.free_source)  # finite alpha: level 1 reads H_0
+    todo = []  # the missing cells of levels k, k-1, ..., walked down
+    for j in range(k, -1, -1):
+        level = tables[j] if j < len(tables) else {}
+        if len(level) == n:
+            break  # a whole level
+        miss = [d for d in cells if d not in level]
+        if not miss:
+            break
+        todo.append((j, miss))
+        if j == 0 or (j == 1 and seeded):
+            break
+        if want is not None:
+            covers = _join_covers(D)
+            cells = {e for d in miss for E in covers[d] for e in E}.union(miss)
+    while len(tables) <= k:
+        tables.append({})
+    if not todo:
         return tables[k]
     src = g.source
-    D = g._side(lower)
     if g.free_source:
         meet, join, top, bottom = meet_of, join_of, src.top_term, src.bottom_term
         if not lower:
@@ -259,22 +293,22 @@ def _tables(g: Hom, k: int, lower: bool) -> dict[str, Term | str]:
     else:
         outer, inner = (src.meet_set, src.join_set) if lower else (src.join_set, src.meet_set)
         gens = {x: x for x in src.generators}
-    if not tables:
-        tables.append({
-            d: outer([t for x, t in gens.items() if D.leq(d, g.images[x])]) for d in D.elements
-        })
-    if len(tables) == 1 <= k and not (lower or g.free_source):
-        # criterion 5 reads alpha on G_k, and G_1 is the join closure of H_0
-        index = src.poset._index
-        h0 = product_closure([src], [(index[x],) for x in (*gens, src.top)], joins=False)
-        h0 = [src.elements[i] for i, in h0]
-        tables.append({d: outer([w for w in h0 if D.leq(d, g.apply(w))]) for d in D.elements})
-    while len(tables) <= k:
-        prev = tables[-1]
-        tables.append({
-            d: outer([prev[d]] + [inner([prev[e] for e in E]) for E in Es])
-            for d, Es in _join_covers(D).items()
-        })
+    for j, miss in reversed(todo):
+        level = tables[j]
+        if j == 0:
+            for d in miss:
+                level[d] = outer([t for x, t in gens.items() if D.leq(d, g.images[x])])
+        elif j == 1 and seeded:
+            # criterion 5 reads alpha on G_k, and G_1 is the join closure of H_0
+            index = src.poset._index
+            h0 = product_closure([src], [(index[x],) for x in (*gens, src.top)], joins=False)
+            h0 = [src.elements[i] for i, in h0]
+            for d in miss:
+                level[d] = outer([w for w in h0 if D.leq(d, g.apply(w))])
+        else:
+            prev, covers = tables[j - 1], _join_covers(D)
+            for d in miss:
+                level[d] = outer([prev[d]] + [inner([prev[e] for e in E]) for E in covers[d]])
     return tables[k]
 
 
@@ -519,7 +553,7 @@ def uniform_beta_bound(pairs: Iterable[Sequence[Term]], g: Hom, h: Hom, cap: int
         if h.apply(b) != d:
             raise InvalidValue(f"pair is not in the fiber product: {(a, b)}")
         for m in range(cap + 1):
-            if _leq(_tables(h, m, True)[d], b):
+            if _leq(_tables(h, m, True, (d,))[d], b):
                 best = max(best, m)
                 break
         else:
@@ -586,9 +620,9 @@ def non_generation_witness(
     windows = sorted({w for w in (2, 4, 8) if w < depth_cap} | {depth_cap})
     for window in windows:
         for d, k, a in anchors:
-            base = _tables(h, k + n_bound, True)[d]
+            base = _tables(h, k + n_bound, True, (d,))[d]
             for m in range(k + n_bound + 1, k + n_bound + 1 + window):
-                b = _tables(h, m, True)[d]
+                b = _tables(h, m, True, (d,))[d]
                 if term_size(b) > 50000:
                     break  # runaway growth without reaching a preimage of d
                 if b is base or _leq(base, b):
@@ -616,6 +650,6 @@ def verify_non_generation(
     if zs and cert.n_bound < uniform_beta_bound(zs, g, h):
         return False
     # canonical forms are unique per element and interned
-    bound = _tables(h, cert.k + cert.n_bound, True)[cert.d]
+    bound = _tables(h, cert.k + cert.n_bound, True, (cert.d,))[cert.d]
     b = _canon(cert.b)
     return _canon(cert.bound_term) is bound and _leq(b, bound) and not _leq(bound, b)

@@ -266,6 +266,53 @@ def stage_elements_oracle(ctx, idx, cap: int = 20000) -> tuple[Term, ...]:
     return tuple(sorted(reps, key=lambda t: (term_size(t), sort_key(t))))
 
 
+def canon_node_oracle(kids: list[Term], own: type) -> Term:
+    """The canonical step that :func:`latkit.free._canon_node` replaced, as
+    a :func:`latkit.terms.fold` node over canonical children: replace a meet
+    child (for a join node) by a meetand below the whole join, else drop a
+    child below the join of the rest, and rebuild the join after each
+    change.  Dual for meets."""
+    from latkit.free import _leq
+
+    if own is Join:
+        combine, other, below = join_of, Meet, _leq
+    else:
+        combine, other, below = meet_of, Join, lambda a, b: _leq(b, a)
+    while True:
+        t = combine(kids)
+        if not isinstance(t, own):
+            return t
+        kids = list(t.children)
+        changed = False
+        for i, k in enumerate(kids):
+            if isinstance(k, other):
+                for u in k.children:
+                    if below(u, t):
+                        kids[i] = u
+                        changed = True
+                        break
+            if changed:
+                break
+        if changed:
+            continue
+        for i, k in enumerate(kids):
+            rest = kids[:i] + kids[i + 1 :]
+            bound = rest[0] if len(rest) == 1 else combine(rest)
+            if below(k, bound):
+                kids = rest
+                changed = True
+                break
+        if not changed:
+            return t
+
+
+def canon_oracle(t: Term, memo: dict | None = None) -> Term:
+    """The canonical form of ``t`` on :func:`canon_node_oracle`."""
+    from latkit.terms import fold
+
+    return fold(t, lambda u, kids: u if type(u) is Gen else canon_node_oracle(kids, type(u)), memo)
+
+
 def random_big_lattice(rng: random.Random, ground: int, lo: int, hi: int,
                        p: float = 0.55) -> FiniteLattice:
     """Random closure system on ``ground`` points with ``lo`` to ``hi``

@@ -3,7 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import oracle_leq_free, random_lattice, random_term, stage_elements_oracle
+from helpers import (
+    canon_oracle,
+    oracle_leq_free,
+    random_lattice,
+    random_term,
+    stage_elements_oracle,
+)
 from latkit import free
 from latkit.cli import _dual_term
 from latkit.errors import CapExceeded, UnknownGenerator
@@ -68,6 +74,23 @@ def test_nested_unknown_generators(text, names):
         with pytest.raises(UnknownGenerator) as err:
             call()
         assert str(err.value) == f"unknown generators: {names}"
+
+
+def test_canonical_step_matches_drop_below_rest_oracle():
+    # the antichain step against the step it replaced (drop a child below
+    # the join of the rest): the same interned term on random terms and on
+    # every pairwise join and meet of G_1 on three generators
+    rng = random.Random(1941)
+    memo = {}
+    for i in range(1500):
+        names = ["x", "y", "z", "w"][: 3 + i % 2]
+        t = random_term(rng, names, 5)
+        assert free._canon(t) is canon_oracle(t, memo), term_to_text(t)
+    g1 = stage_elements(X3, StageIndex(1, "G"))
+    for a in g1:
+        for b in g1:
+            for t in (join_of([a, b]), meet_of([a, b])):
+                assert free._canon(t) is canon_oracle(t, memo), term_to_text(t)
 
 
 def test_eq_by_commutativity():

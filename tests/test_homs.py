@@ -49,6 +49,7 @@ from latkit.homs import (
     is_lower_bounded_hom,
     kernel,
     non_generation_witness,
+    _tables,
     order_fiber,
     sublattice_closure,
     uniform_beta_bound,
@@ -64,7 +65,18 @@ from latkit.order import (
     is_lower_bounded_finite,
     minimal_generating_set,
 )
-from latkit.terms import Join, Meet, Term, fold, gen, join_of, meet_of, parse, sort_key
+from latkit.terms import (
+    Join,
+    Meet,
+    Term,
+    fold,
+    gen,
+    join_of,
+    meet_of,
+    parse,
+    sort_key,
+    term_to_text,
+)
 
 
 def _ident(L):
@@ -1007,3 +1019,59 @@ def test_witness_with_sampled_pair_sets(m3):
         assert verify_non_generation(g, h, cert, zs)
         # the bound level dominates the uniform bound of the sample
         assert cert.n_bound == uniform_beta_bound(zs, g, h)
+
+
+def test_single_cell_reads_match_whole_levels(m3):
+    # on M3 and on random targets failing the cycle test, one cell read on a
+    # fresh hom equals that cell of the whole-level fill, on both sides; a
+    # hom read cell by cell in random order, then level by level, ends with
+    # the whole-level tables
+    rng = random.Random(2025)
+    targets = [m3]
+    while len(targets) < 5:
+        D = random_lattice(rng, ground=4, min_size=5, max_size=8)
+        if not is_lower_bounded_finite(D).ok:
+            targets.append(D)
+    for D in targets:
+        gens = minimal_generating_set(D)
+        names = [f"x{i}" for i in range(len(gens))]
+        images = dict(zip(names, gens))
+        whole = Hom(FreeLattice(names), D, images)
+        mixed = Hom(FreeLattice(names), D, images)
+        cells = [(m, d) for m in range(7) for d in D.elements]
+        for lower in (True, False):
+            levels = [dict(_tables(whole, m, lower)) for m in range(7)]
+            for m, d in cells:
+                fresh = Hom(FreeLattice(names), D, images)
+                assert _tables(fresh, m, lower, (d,))[d] is levels[m][d], (D.elements, m, d)
+                assert sum(map(len, fresh._levels[lower])) <= (m + 1) * len(D)
+            for m, d in rng.sample(cells, len(cells) // 2):
+                assert _tables(mixed, m, lower, (d,))[d] is levels[m][d]
+            for m in range(7):
+                assert _tables(mixed, m, lower) == levels[m]
+
+
+def test_witness_fills_only_the_beta_cells_it_reads(m3):
+    ctx = FreeLattice(["x", "y", "z"])
+    g = Hom(ctx, m3, {"x": "a", "y": "b", "z": "c"})
+    h = Hom(ctx, m3, {"x": "b", "y": "c", "z": "a"})
+    cert = non_generation_witness(g, h)
+    shown = lambda c: (term_to_text(c.a), term_to_text(c.b), c.d, c.k, c.n_bound,
+                       term_to_text(c.bound_term))
+    assert shown(cert) == (
+        "(x | y | z)", "((x | y) & (x | z) & (y | z))", "1", 0, 0, "(x | y | z)"
+    )
+    levels = h._levels[True]
+    assert sum(map(len, levels)) < len(levels) * len(m3)
+    assert verify_non_generation(g, h, cert)
+    # with a sampled pair set the bound level rises to 1
+    zs = _sample_fiber_pairs(random.Random(25), g, h, 5)
+    cert = non_generation_witness(g, h, zs)
+    assert shown(cert) == (
+        "(x | y | z)",
+        "(((x & (y | z)) | (y & (x | z))) & ((x & (y | z)) | (z & (x | y)))"
+        " & ((y & (x | z)) | (z & (x | y))))",
+        "1", 0, 1, "((x | y) & (x | z) & (y | z))",
+    )
+    assert sum(map(len, levels)) < len(levels) * len(m3)
+    assert verify_non_generation(g, h, cert, zs)
