@@ -65,7 +65,7 @@ __all__ = [
 class FreeLattice:
     """Context object naming the generators of a free lattice."""
 
-    __slots__ = ("names", "_name_set")
+    __slots__ = ("names", "_name_set", "_top", "_bottom")
 
     def __init__(self, names: Iterable[str]):
         items = tuple(sorted(names))
@@ -77,6 +77,8 @@ class FreeLattice:
             gen(n)  # validates the name
         self.names = items
         self._name_set = frozenset(items)
+        self._top: Term | None = None
+        self._bottom: Term | None = None
 
     @property
     def generator_terms(self) -> tuple[Gen, ...]:
@@ -84,13 +86,19 @@ class FreeLattice:
 
     @property
     def top_term(self) -> Term:
-        """The join of all generators (the empty meet by convention)."""
-        return join_of(self.generator_terms)
+        """The join of all generators (the empty meet by convention), built
+        on first use and kept: many contexts never ask for it."""
+        if self._top is None:
+            self._top = join_of(self.generator_terms)
+        return self._top
 
     @property
     def bottom_term(self) -> Term:
-        """The meet of all generators (the empty join by convention)."""
-        return meet_of(self.generator_terms)
+        """The meet of all generators (the empty join by convention), built
+        on first use and kept."""
+        if self._bottom is None:
+            self._bottom = meet_of(self.generator_terms)
+        return self._bottom
 
     def check_term(self, t: Term) -> None:
         extra = generators(t) - self._name_set

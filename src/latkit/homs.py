@@ -100,6 +100,7 @@ class Hom:
         "_map",
         "_groups",
         "_levels",
+        "_values",
     )
 
     def __init__(
@@ -121,6 +122,7 @@ class Hom:
         for v in images.values():
             target.poset.index(v)
         self.images = {k: images[k] for k in sorted(images)}
+        self._values: dict[Term, str] = {}  # the memo of ``apply`` on terms
         # level tables of the preimage recursion, indexed by ``lower``: [0]
         # is the alpha side, [1] the beta side
         self._levels: tuple[list[dict[str, Term | str]], ...] = ([], [])
@@ -163,7 +165,7 @@ class Hom:
         """Image of a source element (finite source) or of a term."""
         if isinstance(x, Term):
             try:
-                return evaluate_term(self.target, self.images, x)
+                return evaluate_term(self.target, self.images, x, self._values)
             except UnassignedGenerator:
                 if self.free_source:  # images cover exactly the source's names
                     self.source.check_term(x)  # type: ignore[union-attr]

@@ -10,10 +10,11 @@ minimal nontrivial join covers, the join-cover dependency digraph with its
 cycle test, and the interpolation-style antichain conditions used as
 hypotheses elsewhere in the package.
 
-Closures inside a finite lattice, or a product of two, run on
-:func:`product_closure`, which reads meets and joins off ANDs of the
-down-set and up-set masks: generated sublattices (and through them the
-generator check of :class:`FiniteLattice`, ``Hom.surjective``,
+Closures inside a finite lattice, or a product of a few, run on
+:func:`product_closure`: each operation keeps its codes (down-set masks for
+meets, up-set masks for joins) closed under AND, and a member enters it by
+one set comprehension.  Its callers are generated sublattices (and through
+them the generator check of :class:`FiniteLattice`, ``Hom.surjective``,
 :func:`check_dean` and ``is_lower_bounded_sublattice``), the graph of a
 homomorphism with a finite source, the stage sets ``G_k``/``H_k`` and
 ``sublattice_closure``.  :func:`closure` is the generic worklist, with a
@@ -28,6 +29,7 @@ closure need not produce; the index tables mark such a product -1 instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import (
@@ -118,54 +120,70 @@ def product_closure(
     up codes.  The top of a down-set is its last position in the linear
     extension and the bottom of an up-set its first, which decodes a code.
 
-    Members are taken in order of discovery.  For each, one set
-    comprehension ANDs its down code with those of every member up to and
-    including itself, and a second does the same with the up codes; codes
-    already seen are dropped, so no Python function runs per pair.  Raises
-    :class:`CapExceeded` (``cap``, ``what``) exactly when the closure has
-    more than ``cap`` members, on adding the first member over the cap."""
-    # per factor: shift, width mask, down-sets, up-sets, linear extension
+    Each side, meets on down codes and joins on up codes, keeps the codes
+    it has taken in as a set closed under AND.  Members wait on a work list,
+    each tagged with the side that made it.  A side takes a member in
+    unless it made the member or already holds its code: one set
+    comprehension ANDs the code with every code the side holds, which keeps
+    the set closed, and each product that names a member not yet found is
+    decoded, given its other code, and put on the work list.  A member
+    made by a side needs no pass there: the side holds its code ``s ∧ y``
+    and, for every code ``x`` it holds, ``x ∧ (s ∧ y) = s ∧ (x ∧ y)``.
+    The list is walked in the order members are found, so the seeds go in
+    before any product; most later members then reach a side as products
+    before their own turn and cost nothing there (on a 216-member pair
+    closure, 2,900 ANDs against 19,500 when the newest member goes first).
+    A seed of one member, or of every member of the product, is closed
+    already.  Raises :class:`CapExceeded` (``cap``, ``what``) exactly when
+    the closure has more than ``cap`` members, on finding the first member
+    over the cap."""
+    seeds = dict.fromkeys(seed)
+    if cap is not None and len(seeds) > cap:
+        raise CapExceeded(cap, what)
+    if len(seeds) <= 1 or len(seeds) == prod(map(len, lats)):
+        return set(seeds)
+    sides = [side for side, on in ((0, meets), (1, joins)) if on]
+    # per factor: shift, width mask, down-sets and up-sets, linear extension
     spans = []
     shift = 0
     for L in lats:
         p = L.poset
-        spans.append((shift, (1 << len(p)) - 1, p._down, p._up, p._order))
+        spans.append((shift, (1 << len(p)) - 1, (p._down, p._up), p._order))
         shift += len(p)
-    out: list[tuple[int, ...]] = []
-    codes: tuple[list[int], list[int]] = ([], [])  # down and up codes of ``out``
-    seen: tuple[set[int], set[int]] = (set(), set())
-
-    def add(x: tuple[int, ...]) -> None:
+    # the work list, in order of discovery: member, its down and up codes,
+    # and the side that made it (-1 for a seed)
+    work = []
+    for x in seeds:
         d = u = 0
-        for (s, _, down, up, _), i in zip(spans, x):
+        for (s, _, (down, up), _), i in zip(spans, x):
             d |= down[i] << s
             u |= up[i] << s
-        out.append(x)
-        for side, c in enumerate((d, u)):
-            codes[side].append(c)
-            seen[side].add(c)
-        if cap is not None and len(out) > cap:
-            raise CapExceeded(cap, what)
-
-    def decode(c: int, side: int) -> tuple[int, ...]:
-        x = []
-        for s, w, _, _, order in spans:
-            seg = c >> s & w
-            x.append(order[(seg if side == 0 else seg & -seg).bit_length() - 1])
-        return tuple(x)
-
-    for x in dict.fromkeys(seed):
-        add(x)
-    sides = [side for side, on in ((0, meets), (1, joins)) if on]
-    i = 0
-    while i < len(out):
+        work.append((x, (d, u), -1))
+    known = ({d for _, (d, _), _ in work}, {u for _, (_, u), _ in work})
+    closed: tuple[set[int], set[int]] = (set(), set())  # each side's AND-closed codes
+    for _, xc, made in work:  # grows while it is walked
         for side in sides:
-            cs = codes[side]
-            c = cs[i]
-            for nc in {c & o for o in cs[: i + 1]} - seen[side]:
-                add(decode(nc, side))
-        i += 1
-    return set(out)
+            c, held = xc[side], closed[side]
+            if side == made or c in held:
+                continue
+            new = {c & o for o in held} - held
+            new.add(c)
+            held |= new
+            for nc in new - known[side]:
+                y = []
+                other = 0
+                for s, w, tables, order in spans:
+                    seg = nc >> s & w
+                    i = order[(seg if side == 0 else seg & -seg).bit_length() - 1]
+                    y.append(i)
+                    other |= tables[1 - side][i] << s
+                yc = (nc, other) if side == 0 else (other, nc)
+                work.append((tuple(y), yc, side))
+                known[0].add(yc[0])
+                known[1].add(yc[1])
+                if cap is not None and len(work) > cap:
+                    raise CapExceeded(cap, what)
+    return {x for x, _, _ in work}
 
 
 def _covers_from_order(
@@ -579,10 +597,15 @@ def minimal_generating_set(L: FiniteLattice) -> tuple[str, ...]:
     return tuple(gens)
 
 
-def evaluate_term(L: FiniteLattice, assignment: Mapping[str, str], t: Term) -> str:
+def evaluate_term(
+    L: FiniteLattice, assignment: Mapping[str, str], t: Term, memo: dict | None = None
+) -> str:
     """Homomorphic evaluation of ``t`` in ``L``.  Empty meets and joins, had
     they a term form, would land on top and bottom via ``meet_set`` and
-    ``join_set``."""
+    ``join_set``.  ``memo`` maps subterms to their values under this
+    ``L`` and ``assignment`` (see :func:`latkit.terms.fold`); a caller that
+    keeps it between calls evaluates each subterm once.  An unassigned
+    generator is never stored, so it raises on every call."""
 
     def node(u: Term, vals: list[str]) -> str:
         if type(u) is not Gen:
@@ -594,7 +617,7 @@ def evaluate_term(L: FiniteLattice, assignment: Mapping[str, str], t: Term) -> s
         L.poset.index(v)
         return v
 
-    return fold(t, node)
+    return fold(t, node, memo)
 
 
 # --- irreducibles, covers and the dependency digraph ---

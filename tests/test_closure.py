@@ -3,6 +3,7 @@ closure, the mask closure engine against the table closures it replaced,
 and the graph-closure hom extension against an element-by-element check of
 meet and join preservation."""
 
+import itertools
 import random
 
 import pytest
@@ -87,6 +88,21 @@ def test_product_closure_matches_table_oracle(meets, joins):
             tuple(rng.randrange(len(L)) for L in lats) for _ in range(rng.randint(0, 4))
         ]
         _check_against_oracle(lats, seed, meets, joins)
+    for _ in range(30):
+        lats = [random_lattice(rng, ground=3, min_size=2, max_size=6) for _ in range(3)]
+        seed = [tuple(rng.randrange(len(L)) for L in lats) for _ in range(rng.randint(2, 4))]
+        _check_against_oracle(lats, seed, meets, joins)
+    # seeds that are closed already, the whole product among them, and
+    # single members, on one, two and three factors
+    for n_factors in (1, 2, 3):
+        for _ in range(8):
+            lats = [random_lattice(rng, ground=3, min_size=2, max_size=6)
+                    for _ in range(n_factors)]
+            every = list(itertools.product(*(range(len(L)) for L in lats)))
+            seed = rng.sample(every, min(len(every), 3))
+            closed = sorted(product_closure_oracle(lats, seed, meets=meets, joins=joins))
+            for s in (every, closed, closed[::-1], [rng.choice(every)]):
+                _check_against_oracle(lats, s, meets, joins)
 
 
 def test_product_closure_on_codes_wider_than_a_machine_word():

@@ -24,6 +24,7 @@ from latkit.errors import (
     NotSurjective,
     TargetLowerBounded,
     TargetMismatch,
+    UnassignedGenerator,
     UnknownElement,
     UnknownGenerator,
 )
@@ -118,6 +119,66 @@ def test_apply_matches_evaluation(m3, square):
     for _ in range(100):
         t = random_term(rng, ["x", "y", "z"], 3)
         assert g.apply(t) == evaluate_term(m3, g.images, t)
+        assert g.apply(t) == evaluate_term(m3, g.images, t, {})
+
+
+def test_apply_evaluates_each_term_once(m3, monkeypatch):
+    """``apply`` keeps one memo per hom: a term applied again, or a subterm
+    of one applied before, runs no evaluation node."""
+    nodes = []
+    real_fold = order.fold
+
+    def counting_fold(t, node, memo=None):
+        return real_fold(t, lambda u, vals: nodes.append(u) or node(u, vals), memo)
+
+    monkeypatch.setattr(order, "fold", counting_fold)
+    rng = random.Random(3)
+    g = Hom(FreeLattice(["x", "y", "z"]), m3, {"x": "a", "y": "b", "z": "c"})
+    for _ in range(30):
+        t = random_term(rng, ["x", "y", "z"], 3)
+        first = g.apply(t)
+        nodes.clear()
+        assert g.apply(t) == first
+        assert nodes == []
+        for u in t.children:
+            g.apply(u)
+        assert nodes == []
+
+
+def test_apply_unknown_generator_raises_on_every_call(m3, square):
+    free = Hom(FreeLattice(["x", "y", "z"]), m3, {"x": "a", "y": "b", "z": "c"})
+    finite = _ident(square)
+    for g, t, err in (
+        (free, parse("((x | y) & (z | w))"), UnknownGenerator),
+        (finite, parse("((a | b) & (0 | w))"), UnassignedGenerator),
+    ):
+        messages = []
+        for _ in range(3):
+            with pytest.raises(err) as exc:
+                g.apply(t)
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1 and "'w'" in messages[0]
+        assert t not in g._values
+        for u, v in g._values.items():
+            assert v == evaluate_term(g.target, g.images, u)
+        known = next(u for u in t.children if "w" not in term_to_text(u))
+        assert g.apply(known) == evaluate_term(g.target, g.images, known)
+
+
+def test_free_top_and_bottom_terms_are_built_once_per_context(monkeypatch):
+    from latkit import free
+
+    built = []
+    for name in ("join_of", "meet_of"):
+        real = getattr(free, name)
+        monkeypatch.setattr(free, name, lambda ts, real=real, name=name: built.append(name)
+                            or real(ts))
+    ctx = FreeLattice(["y", "x", "z"])
+    for _ in range(3):
+        assert ctx.top_term is join_of(ctx.generator_terms)
+        assert ctx.bottom_term is meet_of(ctx.generator_terms)
+    assert sorted(built) == ["join_of", "meet_of"]
+    assert FreeLattice(["x"]).top_term is FreeLattice(["x"]).bottom_term is gen("x")
 
 
 def test_apply_two_chain_collapse(two):
