@@ -717,7 +717,16 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UnverifiedPreconditionWarning)
         try:
-            return args.fn(args)
+            code = args.fn(args)
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+            return code
+        except BrokenPipeError:
+            # The reader has gone, so the verdict was not delivered.  What is
+            # still buffered goes to os.devnull, so the flush at exit passes.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_USAGE
         except CapExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CAP

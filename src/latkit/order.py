@@ -190,15 +190,60 @@ def _covers_from_order(
     items: Sequence[X], leq: Callable[[X, X], bool]
 ) -> list[tuple[X, X]]:
     """Cover pairs ``(a, b)`` of the partial order ``leq`` on distinct
-    ``items``: ``a < b`` with no item strictly between them."""
-    return [
-        (a, b)
-        for a in items
-        for b in items
-        if a != b
-        and leq(a, b)
-        and not any(c != a and c != b and leq(a, c) and leq(c, b) for c in items)
+    ``items``: ``a < b`` with no item strictly between them, in the order
+    of ``a``, then ``b``, in ``items``.
+
+    One ``leq`` call per ordered pair gives each item's strict down-set as a
+    bitmask over indices; the lower covers of ``b`` are then the members of
+    its strict down-set that lie in no other member's."""
+    n = len(items)
+    strict = [
+        sum(1 << i for i, a in enumerate(items) if i != j and leq(a, b))
+        for j, b in enumerate(items)
     ]
+    above = [0] * n  # above[i]: bitmask of the upper covers of item i
+    for j, below in enumerate(strict):
+        inner = 0
+        m = below
+        while m:
+            low = m & -m
+            inner |= strict[low.bit_length() - 1]
+            m ^= low
+        m = below & ~inner
+        while m:
+            low = m & -m
+            above[low.bit_length() - 1] |= 1 << j
+            m ^= low
+    out = []
+    for i, m in enumerate(above):
+        while m:
+            low = m & -m
+            out.append((items[i], items[low.bit_length() - 1]))
+            m ^= low
+    return out
+
+
+def _masks(
+    order: Sequence[int], pos: Sequence[int], lower: Sequence[Sequence[int]],
+    upper: Sequence[Sequence[int]],
+) -> tuple[list[int], list[int]]:
+    """Down-set and up-set bitmasks, over positions ``pos`` in the linear
+    extension ``order``, of the poset with cover lists ``lower`` and
+    ``upper`` by element index: one pass up the extension ORs each lower
+    cover's down-set into an element's, one pass down does the up-sets."""
+    down = [0] * len(order)
+    for i in order:
+        m = 1 << pos[i]
+        for j in lower[i]:
+            m |= down[j]
+        down[i] = m
+    up = [0] * len(order)
+    for i in reversed(order):
+        m = 1 << pos[i]
+        for j in upper[i]:
+            m |= up[j]
+        up[i] = m
+    return down, up
 
 
 def _is_ids(value) -> bool:
@@ -264,24 +309,10 @@ class FinitePoset:
         for p, i in enumerate(order):
             pos[i] = p
 
-        # down[i]: bitmask over *positions* of elements <= element i
-        down = [0] * n
-        for i in order:
-            m = 1 << pos[i]
-            for j in pred[i]:
-                m |= down[j]
-            down[i] = m
-        up = [0] * n
-        for i in reversed(order):
-            m = 1 << pos[i]
-            for j in succ[i]:
-                m |= up[j]
-            up[i] = m
-        self._down = down
-        self._up = up
         # tuples: a dual shares them, and they are smaller than lists
         self._lower = tuple(map(tuple, pred))
         self._upper = tuple(map(tuple, succ))
+        self._down, self._up = down, up = _masks(order, pos, self._lower, self._upper)
 
         for i, js in enumerate(succ):  # in the sorted order of the covers
             for j in js:
@@ -302,7 +333,9 @@ class FinitePoset:
         if not _is_ids(elements):
             raise InvalidPoset("'elements' must be a list of string ids")
         if not isinstance(covers, (list, tuple)) or not all(
-            _is_ids(c) and len(c) == 2 for c in covers
+            isinstance(c, (list, tuple)) and len(c) == 2
+            and isinstance(c[0], str) and isinstance(c[1], str)
+            for c in covers
         ):
             raise InvalidPoset("'covers' must be a list of [lower, upper] id pairs")
         return cls(elements, covers)
@@ -329,30 +362,28 @@ class FinitePoset:
         return tuple(self.elements[j] for j in self._upper[self.index(e)])
 
     def dual(self) -> "FinitePoset":
-        """The order reversed, as a transpose of this poset's tables.
+        """The order reversed, as a transpose of this poset's cover lists.
 
-        Elements and ids stay; covers, cover lists, down-sets and up-sets
-        swap sides.  The reversed linear extension is a linear extension of
-        the reversed order, so position ``p`` becomes ``n-1-p`` and every
-        mask is bit-reversed over ``n`` bits.  The dual of a valid poset is
-        valid, so no check runs again.  Nothing reads positions except
-        through sorted id lists, the single extreme bit of a principal
-        ideal or filter and the two ends of the extension, so the result
-        answers exactly as ``FinitePoset(elements, flipped covers)``."""
+        Elements and ids stay, and the lower and upper cover lists swap
+        sides.  The reversed linear extension is a linear extension of the
+        reversed order, so position ``p`` becomes ``n-1-p``, and one pass of
+        :func:`_masks` over the swapped lists gives the dual's down-sets and
+        up-sets.  The dual's covers ``(hi, lo)`` are read off the lower
+        cover lists, which run in the sorted order of ``hi``, then ``lo``,
+        because indices follow names.  The dual of a valid poset is valid,
+        so no check runs again.  Nothing reads positions except through
+        sorted id lists, the single extreme bit of a principal ideal or
+        filter and the two ends of the extension, so the result answers
+        exactly as ``FinitePoset(elements, flipped covers)``."""
         n = len(self.elements)
-        width = f"0{n}b"
-
-        def flip(m: int) -> int:
-            return int(format(m, width)[::-1], 2)
-
+        els = self.elements
         d = object.__new__(FinitePoset)
-        d.elements, d._index = self.elements, self._index
-        d.covers = tuple(sorted((hi, lo) for lo, hi in self.covers))
+        d.elements, d._index = els, self._index
+        d.covers = tuple((els[hi], els[lo]) for hi, los in enumerate(self._lower) for lo in los)
         d._order = self._order[::-1]
         d._pos = [n - 1 - p for p in self._pos]
-        d._down = [flip(m) for m in self._up]
-        d._up = [flip(m) for m in self._down]
         d._lower, d._upper = self._upper, self._lower
+        d._down, d._up = _masks(d._order, d._pos, d._lower, d._upper)
         return d
 
     def heights(self) -> dict[str, int]:
@@ -400,7 +431,25 @@ class FiniteLattice:
     generating set (all elements by default).  The dual (:meth:`dual`), the
     join-cover table (:func:`_join_covers`) and the lower cycle report
     (:func:`is_lower_bounded_finite`) are built once per object when asked
-    for, in slots that equality, hashing and ``to_dict`` ignore."""
+    for, in slots that equality, hashing and ``to_dict`` ignore.
+
+    The poset is tested by its cover pairs (:func:`_is_lattice`): a finite
+    poset with a least element is a lattice iff any two upper covers of a
+    common element have a join.  Necessity is plain.  For sufficiency take
+    incomparable ``x`` and ``y`` and a common lower bound ``z`` of greatest
+    height, and assume every pair with a higher common lower bound has a
+    join.  Upper covers ``x1 <= x`` and ``y1 <= y`` of ``z`` are distinct,
+    since a common one would be a higher common lower bound, so
+    ``w = x1 v y1`` exists.  The pairs ``(x, w)`` and ``(x v w, y)`` have
+    the common lower bounds ``x1`` and ``y1``, above ``z``, so they have
+    joins.  Every common upper bound of ``x`` and ``y`` lies above ``x1``
+    and ``y1``, so above ``w``, ``x v w`` and ``(x v w) v y``, which lies
+    above ``x`` and ``y`` and is therefore ``x v y``.  A finite
+    join-semilattice with a least element is a lattice: the meet of two
+    elements is the join of their common lower bounds.  When the test
+    passes the tables are filled with no further checks; when it fails,
+    :func:`_pair_scan` finds the first pair with no meet or join and raises
+    :class:`NotALattice` for it."""
 
     __slots__ = (
         "poset", "bottom", "top", "generators", "_meet", "_join", "_dual", "_covers", "_report"
@@ -408,35 +457,13 @@ class FiniteLattice:
 
     def __init__(self, poset: FinitePoset, generators: Iterable[str] | None = None):
         self.poset = poset
-        n = len(poset.elements)
-        order, pos = poset._order, poset._pos
-        down, up = poset._down, poset._up
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        for i in range(n):
-            meet[i][i] = i
-            join[i][i] = i
-            for j in range(i + 1, n):
-                common = down[i] & down[j]
-                if not common:
-                    raise NotALattice(poset.elements[i], poset.elements[j], "meet")
-                m = order[common.bit_length() - 1]
-                if down[m] != common:
-                    raise NotALattice(poset.elements[i], poset.elements[j], "meet")
-                meet[i][j] = meet[j][i] = m
-                commonu = up[i] & up[j]
-                if not commonu:
-                    raise NotALattice(poset.elements[i], poset.elements[j], "join")
-                lowest = commonu & -commonu
-                mu = order[lowest.bit_length() - 1]
-                if up[mu] != commonu:
-                    raise NotALattice(poset.elements[i], poset.elements[j], "join")
-                join[i][j] = join[j][i] = mu
-        self._meet = meet
-        self._join = join
+        if not _is_lattice(poset):
+            _pair_scan(poset)
+        self._meet, self._join = _tables(poset)
         self._dual = self._covers = self._report = None
         # with every meet and join present, the ends of the linear extension
         # are the unique minimal and maximal elements
+        order = poset._order
         self.bottom = poset.elements[order[0]]
         self.top = poset.elements[order[-1]]
         if generators is None:
@@ -563,6 +590,57 @@ class FiniteLattice:
             lines.append(f"  {{ rank=same; {row}; }}")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _is_lattice(poset: FinitePoset) -> bool:
+    """Whether ``poset`` is a lattice, by the cover-pair criterion of
+    :class:`FiniteLattice`: exactly one element has no lower cover, and any
+    two upper covers of an element have a least common upper bound."""
+    lower, upper, up, order = poset._lower, poset._upper, poset._up, poset._order
+    if sum(not cs for cs in lower) != 1:
+        return False
+    for cs in upper:
+        for k, a in enumerate(cs):
+            ua = up[a]
+            for b in cs[k + 1 :]:
+                common = ua & up[b]
+                if not common or up[order[(common & -common).bit_length() - 1]] != common:
+                    return False
+    return True
+
+
+def _tables(poset: FinitePoset) -> tuple[list[list[int]], list[list[int]]]:
+    """Meet and join tables of a lattice: the meet of ``i`` and ``j`` is
+    the top of ``down[i] & down[j]``, their join the bottom of
+    ``up[i] & up[j]``."""
+    n = len(poset.elements)
+    order, down, up = poset._order, poset._down, poset._up
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        mi, ji, di, ui = meet[i], join[i], down[i], up[i]
+        mi[i] = ji[i] = i
+        for j in range(i + 1, n):
+            mi[j] = meet[j][i] = order[(di & down[j]).bit_length() - 1]
+            common = ui & up[j]
+            ji[j] = join[j][i] = order[(common & -common).bit_length() - 1]
+    return meet, join
+
+
+def _pair_scan(poset: FinitePoset) -> None:
+    """Raise :class:`NotALattice` for the first pair ``i < j``, in element
+    order, with no greatest common lower bound (``"meet"``) or, failing
+    that, no least common upper bound (``"join"``)."""
+    n, els = len(poset.elements), poset.elements
+    order, down, up = poset._order, poset._down, poset._up
+    for i in range(n):
+        for j in range(i + 1, n):
+            common = down[i] & down[j]
+            if not common or down[order[common.bit_length() - 1]] != common:
+                raise NotALattice(els[i], els[j], "meet")
+            common = up[i] & up[j]
+            if not common or up[order[(common & -common).bit_length() - 1]] != common:
+                raise NotALattice(els[i], els[j], "join")
 
 
 def build_lattice(

@@ -349,6 +349,72 @@ def dual_oracle(L: FiniteLattice) -> FiniteLattice:
                          L.generators)
 
 
+def bit_reversal_dual(P: FinitePoset) -> FinitePoset:
+    """The dual poset as a transpose with every mask bit-reversed over
+    ``n`` bits and the flipped covers sorted again (position ``p`` becomes
+    ``n-1-p`` in the reversed linear extension)."""
+    n = len(P.elements)
+    width = f"0{n}b"
+
+    def flip(m: int) -> int:
+        return int(format(m, width)[::-1], 2)
+
+    d = object.__new__(FinitePoset)
+    d.elements, d._index = P.elements, P._index
+    d.covers = tuple(sorted((hi, lo) for lo, hi in P.covers))
+    d._order = P._order[::-1]
+    d._pos = [n - 1 - p for p in P._pos]
+    d._down = [flip(m) for m in P._up]
+    d._up = [flip(m) for m in P._down]
+    d._lower, d._upper = P._upper, P._lower
+    return d
+
+
+def poset_tables(P: FinitePoset) -> tuple:
+    """Every slot of a poset, as plain values."""
+    return (P.elements, P.covers, P._index, list(P._order), list(P._pos), list(P._down),
+            list(P._up), P._lower, P._upper)
+
+
+def random_poset(rng: random.Random, max_size: int = 9) -> FinitePoset:
+    """Random poset on 2 to ``max_size`` elements: a random strict order
+    on a random extension, transitively closed, with a least and a greatest
+    element added each with probability one half.  Names are shuffled, so
+    that name order and the extension differ."""
+    n = rng.randint(2, max_size)
+    p = rng.choice((0.2, 0.35, 0.5, 0.7))
+    below = [{j for j in range(i) if rng.random() < p} for i in range(n)]
+    for i in range(n):  # transitive closure along the extension
+        for j in sorted(below[i]):
+            below[i] |= below[j]
+    if n > 2 and rng.random() < 0.5:
+        below = [set()] + [b | {0} for b in below[1:]]
+    if n > 2 and rng.random() < 0.5:
+        below[-1] = set(range(n - 1))
+    names = [f"p{k}" for k in rng.sample(range(n), n)]
+    leq = lambda a, b: a == b or names.index(a) in below[names.index(b)]
+    return FinitePoset(names, covers_from_leq(names, leq))
+
+
+def lattice_oracle(P: FinitePoset):
+    """Meet and join tables of ``P`` as dicts on id pairs, by brute force
+    over common bounds, or ``(pair, which)`` for the first pair in element
+    order with no meet (checked first) or no join."""
+    els, leq = P.elements, P.leq
+    meet, join = {}, {}
+    for i, a in enumerate(els):
+        for b in els[i:]:
+            # below(x, y): x lies on the side of y where the bound is sought
+            for table, which, below in ((meet, "meet", leq),
+                                        (join, "join", lambda x, y: leq(y, x))):
+                common = [c for c in els if below(c, a) and below(c, b)]
+                best = [c for c in common if all(below(d, c) for d in common)]
+                if not best:
+                    return (a, b), which
+                table[a, b] = table[b, a] = best[0]
+    return meet, join
+
+
 def lower_covers_oracle(P: FinitePoset, e: str) -> tuple[str, ...]:
     """Lower covers of ``e`` by a scan of the whole cover list."""
     return tuple(lo for lo, hi in P.covers if hi == e)

@@ -140,6 +140,26 @@ def test_usage_error_exit_code(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["--json", "lattice", "whitman"], chain(24).to_dict()),  # a "yes" verdict
+    (["--json", "lattice", "bounded"], M3),  # a "no" verdict
+    (["lattice", "check"], M3),  # a short output, still in the buffer at return
+])
+def test_closed_stdout_is_a_usage_error(tmp_path, argv, doc):
+    # the verdict cannot be delivered, so the exit code must not be read as one
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps(doc))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "latkit", *argv, str(path)],
+                              stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
 def test_cap_exit_code(tmp_path):
     for cap in ("0", "2"):  # 0 is a cap, not "no cap"
         proc = run_cli(

@@ -7,14 +7,18 @@ import pytest
 
 from helpers import (
     antichain_scan_oracle,
+    bit_reversal_dual,
     covers_from_leq,
     d_relation_oracle,
     dual_oracle,
     join_covers_oracle,
+    lattice_oracle,
     lower_covers_oracle,
     m_n,
+    poset_tables,
     random_big_lattice,
     random_lattice,
+    random_poset,
 )
 from latkit import order
 from latkit.errors import (
@@ -67,6 +71,29 @@ def test_poset_rejects_unknown_elements():
         FinitePoset(["a"], [("a", "b")])
 
 
+@pytest.mark.parametrize("covers", [
+    "ac", {"a": "c"}, None, [["a"]], [["a", "b", "c"]], [["a", "c"], ["b"]],
+    [["a", 1]], [[None, "c"]], [("a", "c"), "bc"],
+])
+def test_from_dict_rejects_malformed_covers(covers):
+    with pytest.raises(InvalidPoset) as err:
+        FinitePoset.from_dict({"elements": ["a", "b", "c"], "covers": covers})
+    assert str(err.value) == "'covers' must be a list of [lower, upper] id pairs"
+
+
+def test_covers_from_order_matches_brute_force():
+    rng = random.Random(8)
+    for _ in range(300):
+        P = random_poset(rng, max_size=12)
+        items = list(P.elements)
+        rng.shuffle(items)
+        assert order._covers_from_order(items, P.leq) == covers_from_leq(items, P.leq)
+    L = random_big_lattice(rng, 12, 150, 170)
+    items = list(L.elements)
+    rng.shuffle(items)
+    assert order._covers_from_order(items, L.leq) == covers_from_leq(items, L.leq)
+
+
 def test_poset_dual_involution():
     p = FinitePoset(["a", "b", "c"], [("a", "b"), ("a", "c")])
     assert p.dual().dual() == p
@@ -93,6 +120,7 @@ def test_transposed_dual_matches_rebuilt_dual(m3, n5, fig_lattice):
     for L in [m3, n5, fig_lattice, chain(1), *small, *big]:
         D, O = L.dual(), dual_oracle(L)
         assert _facts(D) == _facts(O)
+        assert poset_tables(D.poset) == poset_tables(bit_reversal_dual(L.poset))
         assert D.dual() == L and _facts(D.dual()) == _facts(L)
         # the reversed extension is a linear extension of the dual order
         pos, idx = D.poset._pos, D.poset.index
@@ -133,6 +161,30 @@ def test_bowtie_is_not_a_lattice():
     with pytest.raises(NotALattice) as err:
         build_lattice(poset)
     assert set(err.value.pair) in ({"a", "b"}, {"c", "d"})
+
+
+def test_cover_pair_lattice_test_matches_brute_force():
+    rng = random.Random(27)
+    lattices = 0
+    for _ in range(2500):
+        P = random_poset(rng)
+        want = lattice_oracle(P)
+        assert order._is_lattice(P) == isinstance(want[0], dict)
+        try:
+            L = FiniteLattice(P)
+        except NotALattice as exc:
+            assert (exc.pair, exc.which) == want
+            with pytest.raises(NotALattice) as scan:
+                order._pair_scan(P)
+            assert (scan.value.pair, scan.value.which) == want
+            continue
+        lattices += 1
+        order._pair_scan(P)
+        meet, join = want
+        assert all(L.meet(a, b) == m and L.join(a, b) == join[a, b]
+                   for (a, b), m in meet.items())
+        assert all(L.leq(L.bottom, e) and L.leq(e, L.top) for e in L.elements)
+    assert 500 < lattices < 2000
 
 
 def test_fig_lattice_builds(fig_lattice):
